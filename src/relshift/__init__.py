@@ -86,6 +86,5 @@ from .terms import (  # noqa: F401
 from .harness import (  # noqa: F401
     ConsistencyError,
     bundled_corpus,
-    enumerate_reflexive_compatible,
     run_suite,
 )

@@ -141,27 +141,26 @@ def is_compatible(a: Algebra, r: Relation) -> bool:
 
 def _is_compatible_between(a: Algebra, b: Algebra, r: Relation) -> bool:
     """Compatibility of R: A -> B for same-signature algebras A and B."""
-    prs = np.argwhere(r.members)
-    xs, ys = prs[:, 0], prs[:, 1]
-    for op, arity in a.sig.ops:
-        fa, fb = a.table_array(op), b.table_array(op)
-        if arity == 0:
-            if not r.members[int(fa[()]), int(fb[()])]:
-                return False
-        elif arity == 1:
-            if not r.members[fa[xs], fb[ys]].all():
-                return False
-        elif arity == 2:
-            fx = fa[xs[:, None], xs[None, :]]
-            fy = fb[ys[:, None], ys[None, :]]
-            if not r.members[fx, fy].all():
-                return False
-        else:
-            fx = fa[xs[:, None, None], xs[None, :, None], xs[None, None, :]]
-            fy = fb[ys[:, None, None], ys[None, :, None], ys[None, None, :]]
-            if not r.members[fx, fy].all():
-                return False
+    xs, ys = np.nonzero(r.members)
+    for op, _ in a.sig.ops:
+        if not r.members[_apply_all(a.table_array(op), xs), _apply_all(b.table_array(op), ys)].all():
+            return False
     return True
+
+
+# _GRID_SHAPES[k][i]: the shape that lays a vector along axis i of k axes
+_GRID_SHAPES = tuple(
+    tuple((1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)) for k in range(MAX_ARITY + 1)
+)
+
+
+def _apply_all(f: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """f applied to every k-tuple of entries of xs, k = f.ndim; shape (len(xs),) * k.
+
+    Argument i of the tuples is xs laid along axis i, so the k index vectors
+    broadcast to the full grid (a 0-d result for a constant).
+    """
+    return f[tuple(xs.reshape(shape) for shape in _GRID_SHAPES[f.ndim])]
 
 
 def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, int]]) -> Relation:
@@ -173,21 +172,11 @@ def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, in
             raise ValueError(f"seed pair ({x}, {y}) out of range")
         m[x, y] = True
     while True:
-        prs = np.argwhere(m)
-        xs, ys = prs[:, 0], prs[:, 1]
+        xs, ys = np.nonzero(m)
         before = m.copy()
-        for op, arity in a.sig.ops:
+        for op, _ in a.sig.ops:
             f = a.table_array(op)
-            if arity == 0:
-                m[int(f[()]), int(f[()])] = True
-            elif arity == 1:
-                m[f[xs], f[ys]] = True
-            elif arity == 2:
-                m[f[xs[:, None], xs[None, :]], f[ys[:, None], ys[None, :]]] = True
-            else:
-                fx = f[xs[:, None, None], xs[None, :, None], xs[None, None, :]]
-                fy = f[ys[:, None, None], ys[None, :, None], ys[None, None, :]]
-                m[fx, fy] = True
+            m[_apply_all(f, xs), _apply_all(f, ys)] = True
         if np.array_equal(m, before):
             return Relation(a.carrier, a.carrier, m)
 

@@ -20,6 +20,7 @@ from .relations import (
     Relation,
     ShapeError,
     compose,
+    is_difunctional,
     is_equivalence,
     is_positive,
     is_reflexive,
@@ -34,6 +35,7 @@ __all__ = [
     "PreconditionError",
     "BudgetError",
     "DEFAULT_ENUM_BUDGET",
+    "resolve_budget",
     "shifting_lemma",
     "shifting_lemma_forall",
     "shifting_principle_reduction",
@@ -103,6 +105,18 @@ class SLResult:
     def holds(self) -> bool:
         return self.verdict == "holds"
 
+    def to_dict(self) -> dict:
+        """JSON-ready record: verdict, then quadruple, triple (as pair lists)
+        and reason when present."""
+        rec: dict = {"verdict": self.verdict}
+        if self.quadruple is not None:
+            rec["quadruple"] = list(self.quadruple)
+        if self.triple is not None:
+            rec["triple"] = dict(zip("RST", (r.pairs() for r in self.triple)))
+        if self.reason:
+            rec["reason"] = self.reason
+        return rec
+
 
 def _common_carrier(r: Relation, s: Relation, t: Relation) -> int:
     carriers = {r.dom, r.cod, s.dom, s.cod, t.dom, t.cod}
@@ -149,9 +163,42 @@ def shifting_principle_reduction(r: Relation, s: Relation, t: Relation) -> bool:
     return shifting_lemma(r, s, t).holds
 
 
-def _enum_budget(default: int = DEFAULT_ENUM_BUDGET) -> int:
+def resolve_budget(budget: int | None, default: int) -> int:
+    """``budget`` if given, else RELSHIFT_BUDGET if set, else ``default``.
+
+    Raises ValueError unless RELSHIFT_BUDGET is a positive integer.
+    """
+    if budget is not None:
+        return budget
     env = os.environ.get("RELSHIFT_BUDGET")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"RELSHIFT_BUDGET must be a positive integer, got {env!r}")
+    return value
+
+
+def _brute_force(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
+    """Compatible relations A -> B containing ``base``, lexicographic: one
+    candidate per subset of the positions outside ``base``."""
+    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+    rows, cols = np.nonzero(~base)
+    k = len(rows)
+    if 2**k > budget:
+        raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
+    shifts = np.arange(k)
+    out = []
+    for bits in range(2**k):
+        m = base.copy()
+        m[rows, cols] = (bits >> shifts) & 1
+        rel = Relation(a.carrier, b.carrier, m)
+        if _is_compatible_between(a, b, rel):
+            out.append(rel)
+    return sorted(out, key=lambda r: r.pairs())
 
 
 def enumerate_compatible_relations(
@@ -163,52 +210,22 @@ def enumerate_compatible_relations(
     budget.
     """
     b = a if b is None else b
-    if budget is None:
-        budget = _enum_budget()
-    na, nb = a.size, b.size
-    if 2 ** (na * nb) > budget:
-        raise BudgetError(
-            f"2^{na * nb} candidate relations exceed budget {budget}"
-        )
-    out = []
-    for bits in range(2 ** (na * nb)):
-        m = np.array(
-            [(bits >> k) & 1 for k in range(na * nb)], dtype=bool
-        ).reshape(na, nb)
-        rel = Relation(a.carrier, b.carrier, m)
-        if _is_compatible_between(a, b, rel):
-            out.append(rel)
-    return sorted(out, key=lambda r: r.pairs())
+    return _brute_force(a, b, np.zeros((a.size, b.size), dtype=bool), budget)
 
 
 def enumerate_class_relations(
     a: Algebra, cls: RelationClass, budget: int | None = None
 ) -> list[Relation]:
     """All compatible relations on A in the given class, lexicographic."""
-    if budget is None:
-        budget = _enum_budget()
-    n = a.size
     if cls is RelationClass.EQUIVALENCE:
         return sorted(all_congruences(a), key=lambda r: r.pairs())
     if cls is RelationClass.ARBITRARY:
         return enumerate_compatible_relations(a, a, budget)
     # reflexive cases: free choice only on the off-diagonal positions
-    off = [(x, y) for x in range(n) for y in range(n) if x != y]
-    if 2 ** len(off) > budget:
-        raise BudgetError(f"2^{len(off)} candidate relations exceed budget {budget}")
-    out = []
-    for bits in range(2 ** len(off)):
-        m = np.eye(n, dtype=bool)
-        for k, (x, y) in enumerate(off):
-            if (bits >> k) & 1:
-                m[x, y] = True
-        rel = Relation(a.carrier, a.carrier, m)
-        if not is_compatible(a, rel):
-            continue
-        if cls is RelationClass.REFLEXIVE_POSITIVE and not is_positive(rel):
-            continue
-        out.append(rel)
-    return sorted(out, key=lambda r: r.pairs())
+    rels = _brute_force(a, a, np.eye(a.size, dtype=bool), budget)
+    if cls is RelationClass.REFLEXIVE_POSITIVE:
+        rels = [r for r in rels if is_positive(r)]
+    return rels
 
 
 def shifting_lemma_forall(
@@ -263,7 +280,7 @@ def difunctional_all(
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
     for d in rels:
-        if compose(d, compose(opposite(d), d)) != d:
+        if not is_difunctional(d):
             return SLResult("violated", triple=(d, d, d), reason="not difunctional")
     return SLResult("holds")
 

@@ -8,7 +8,8 @@ stderr.  Exit codes are a stable contract:
   2  usage or parse error
   3  inconclusive (enumeration or clone budget exceeded)
 
-RELSHIFT_BUDGET overrides the default clone/enumeration budgets.
+RELSHIFT_BUDGET overrides the default clone/enumeration budgets; a value
+that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .algebras import (
     AlgebraParseError,
     algebra_from_json,
     congruence_lattice_is_modular,
+    is_compatible,
 )
 from .checks import (
+    DEFAULT_ENUM_BUDGET,
     PreconditionError,
     RelationClass,
     SLResult,
@@ -33,11 +36,12 @@ from .checks import (
     ee_properties,
     goursat_identity_all,
     permutability,
+    resolve_budget,
     shifting_lemma,
     shifting_lemma_forall,
 )
 from .constructions import NoWitnessError, goursat_sl_witness, maltsev_sl_witness, witness_to_json
-from .harness import bundled_corpus, run_suite
+from .harness import bundled_corpus, load_corpus, run_suite
 from .relations import (
     Relation,
     RelationParseError,
@@ -46,7 +50,7 @@ from .relations import (
     positive_witness,
     relation_from_json,
 )
-from .terms import find_3perm_terms, find_maltsev_term
+from .terms import TermFunction, find_3perm_terms, find_maltsev_term
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -92,19 +96,20 @@ def _load_relation(path: str | None, flag: str) -> Relation:
         _fail(f"{path}: {e}")
 
 
+def _load_compatible(a: Algebra, path: str | None, flag: str) -> Relation:
+    """A relation file that must hold a compatible relation on A's carrier."""
+    r = _load_relation(path, flag)
+    try:
+        ok = is_compatible(a, r)
+    except ShapeError:
+        _fail(f"{flag}: relation is not on the carrier of {a.name} (size {a.size})")
+    if not ok:
+        _fail(f"{flag}: relation is not compatible with {a.name}")
+    return r
+
+
 def _emit_sl(result: SLResult) -> int:
-    doc: dict = {"verdict": result.verdict}
-    if result.quadruple is not None:
-        doc["quadruple"] = list(result.quadruple)
-    if result.triple is not None:
-        doc["triple"] = {
-            "R": result.triple[0].pairs(),
-            "S": result.triple[1].pairs(),
-            "T": result.triple[2].pairs(),
-        }
-    if result.reason:
-        doc["reason"] = result.reason
-    print(json.dumps(doc))
+    print(json.dumps(result.to_dict()))
     if result.verdict == "holds":
         return EXIT_HOLDS
     if result.verdict == "violated":
@@ -115,6 +120,10 @@ def _emit_sl(result: SLResult) -> int:
 @click.group()
 def main() -> None:
     """Shifting-Lemma workbench for finite algebras."""
+    try:
+        resolve_budget(None, DEFAULT_ENUM_BUDGET)
+    except ValueError as e:
+        _fail(str(e))
 
 
 @main.command()
@@ -138,17 +147,17 @@ def check(algebra_path, prop, r_path, s_path, t_path, classes) -> None:
                 except ValueError as e:
                     _fail(str(e))
                 sys.exit(_emit_sl(shifting_lemma_forall(a, cr, cs, ct)))
-            r = _load_relation(r_path, "--R")
-            s = _load_relation(s_path, "--S")
-            t = _load_relation(t_path, "--T")
+            r = _load_compatible(a, r_path, "--R")
+            s = _load_compatible(a, s_path, "--S")
+            t = _load_compatible(a, t_path, "--T")
             sys.exit(_emit_sl(shifting_lemma(r, s, t)))
         elif prop == "difunctional":
             sys.exit(_emit_sl(difunctional_all(a)))
         elif prop == "goursat-identity":
             sys.exit(_emit_sl(goursat_identity_all(a)))
         elif prop == "permutability":
-            r = _load_relation(r_path, "--R")
-            s = _load_relation(s_path, "--S")
+            r = _load_compatible(a, r_path, "--R")
+            s = _load_compatible(a, s_path, "--S")
             verdict = permutability(r, s)
             doc = {
                 "level": verdict["level"],
@@ -207,6 +216,10 @@ def witness(kind, algebra_path, relation_path) -> None:
     sys.exit(EXIT_HOLDS)
 
 
+def _term_doc(t: TermFunction) -> dict:
+    return {"table": list(t.table), "term": t.sexpr()}
+
+
 @main.command()
 @click.argument("kind", type=click.Choice(["maltsev", "threeperm"]))
 @click.option("--algebra", "algebra_path", required=True)
@@ -214,27 +227,18 @@ def witness(kind, algebra_path, relation_path) -> None:
 def terms(kind, algebra_path, budget) -> None:
     """Search the ternary clone for the requested term condition."""
     a = _load_algebra(algebra_path)
-    if kind == "maltsev":
-        res = find_maltsev_term(a, budget)
-        if res.found:
-            p = res.terms[0]
-            doc = {
-                "identity_set": "maltsev",
-                "p": {"table": list(p.table), "term": p.sexpr()},
-            }
-            print(json.dumps(doc))
-            sys.exit(EXIT_HOLDS)
-    else:
-        res = find_3perm_terms(a, budget)
-        if res.found:
+    try:
+        res = (find_maltsev_term if kind == "maltsev" else find_3perm_terms)(a, budget)
+    except ValueError as e:
+        _fail(str(e))
+    if res.found:
+        if kind == "maltsev":
+            doc = {"identity_set": "maltsev", "p": _term_doc(res.terms[0])}
+        else:
             r, s = res.terms
-            doc = {
-                "identity_set": "3perm",
-                "r": {"table": list(r.table), "term": r.sexpr()},
-                "s": {"table": list(s.table), "term": s.sexpr()},
-            }
-            print(json.dumps(doc))
-            sys.exit(EXIT_HOLDS)
+            doc = {"identity_set": "3perm", "r": _term_doc(r), "s": _term_doc(s)}
+        print(json.dumps(doc))
+        sys.exit(EXIT_HOLDS)
     if res.status == "not_found":
         print("not found (clone complete)", file=sys.stderr)
         print(json.dumps({"identity_set": kind, "status": "not_found"}))
@@ -257,13 +261,10 @@ def suite(corpus_path, out_path, seed) -> None:
         d = pathlib.Path(corpus_path)
         if not d.is_dir():
             _fail(f"no such corpus directory: {corpus_path}")
-        corpus = {}
-        for f in sorted(d.glob("*.json")):
-            try:
-                alg = algebra_from_json(f.read_text())
-            except AlgebraParseError as e:
-                _fail(f"{f}: {e}")
-            corpus[alg.name] = alg
+        try:
+            corpus = load_corpus(d)
+        except AlgebraParseError as e:
+            _fail(str(e))
         if not corpus:
             _fail(f"no algebra files in {corpus_path}")
         corpus_id = str(d)

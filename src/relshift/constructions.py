@@ -17,7 +17,6 @@ import numpy as np
 
 from .algebras import Algebra, PairedObject, as_paired_object, is_compatible
 from .relations import (
-    Carrier,
     Relation,
     compose,
     is_equivalence,
@@ -79,24 +78,22 @@ class SLInstance:
 
 def build_T(e: PairedObject) -> Relation:
     """((a,b), (c,d)) related iff (a, d) is in E; reflexive when E is."""
-    pairs = e.pairs
-    k = len(pairs)
-    m = np.zeros((k, k), dtype=bool)
-    for i, (a, _b) in enumerate(pairs):
-        for j, (_c, d) in enumerate(pairs):
-            m[i, j] = (a, d) in e.relation
-    return Relation(Carrier(k), Carrier(k), m)
+    first, second = _coordinates(e)
+    m = e.relation.members[first[:, None], second[None, :]]
+    return Relation(e.carrier, e.carrier, m)
 
 
 def build_R(e: PairedObject) -> Relation:
     """((a,b), (c,d)) related iff (c, b) is in E; reflexive when E is."""
-    pairs = e.pairs
-    k = len(pairs)
-    m = np.zeros((k, k), dtype=bool)
-    for i, (_a, b) in enumerate(pairs):
-        for j, (c, _d) in enumerate(pairs):
-            m[i, j] = (c, b) in e.relation
-    return Relation(Carrier(k), Carrier(k), m)
+    first, second = _coordinates(e)
+    m = e.relation.members[first[None, :], second[:, None]]
+    return Relation(e.carrier, e.carrier, m)
+
+
+def _coordinates(p: PairedObject) -> tuple[np.ndarray, np.ndarray]:
+    """First and second coordinates of the pairs of p, in pair-index order."""
+    coords = np.asarray(p.pairs, dtype=np.intp).reshape(-1, 2)
+    return coords[:, 0], coords[:, 1]
 
 
 def kernel_pair(p: PairedObject, leg: int) -> Relation:
@@ -104,10 +101,8 @@ def kernel_pair(p: PairedObject, leg: int) -> Relation:
     coordinate.  Always an equivalence relation."""
     if leg not in (1, 2):
         raise ValueError("leg must be 1 or 2")
-    coord = 0 if leg == 1 else 1
-    k = len(p.pairs)
-    vals = np.asarray([pr[coord] for pr in p.pairs], dtype=np.intp)
-    return Relation(Carrier(k), Carrier(k), vals[:, None] == vals[None, :])
+    vals = _coordinates(p)[leg - 1]
+    return Relation(p.carrier, p.carrier, vals[:, None] == vals[None, :])
 
 
 def maltsev_sl_witness(a: Algebra, e: Relation) -> SLInstance:
@@ -161,11 +156,9 @@ def build_W(t: Relation, r: Relation, s: PairedObject) -> Relation:
 
 
 def _side_by_side(left: Relation, right: Relation, s: PairedObject) -> Relation:
-    k = len(s.pairs)
-    a_ = np.asarray([pr[0] for pr in s.pairs], dtype=np.intp)
-    b_ = np.asarray([pr[1] for pr in s.pairs], dtype=np.intp)
+    a_, b_ = _coordinates(s)
     m = left.members[a_[:, None], a_[None, :]] & right.members[b_[:, None], b_[None, :]]
-    return Relation(Carrier(k), Carrier(k), m)
+    return Relation(s.carrier, s.carrier, m)
 
 
 def join_via_RSR(r: Relation, s: Relation) -> Relation:

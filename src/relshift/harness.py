@@ -4,7 +4,9 @@ The bundled corpus spans the three regimes the characterization theorems
 distinguish: Mal'tsev algebras (cyclic groups), a 3-permutable-only
 algebra (the 2-element implication algebra), and algebras with neither
 term condition (meet-semilattice, bare set, a unary algebra whose
-congruence lattice is the pentagon N5).
+congruence lattice is the pentagon N5).  ``bundled_corpus`` loads it from
+the package's ``corpus/*.json`` files with ``load_corpus``, the loader the
+CLI also uses for a corpus directory.
 
 ``run_suite`` runs every check on every corpus algebra and assembles a
 single deterministic JSON-ready report (schema "relshift-report/1").
@@ -13,12 +15,14 @@ single deterministic JSON-ready report (schema "relshift-report/1").
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from importlib import resources
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .algebras import (
     Algebra,
-    Signature,
+    AlgebraParseError,
+    algebra_from_json,
     all_congruences,
     as_paired_object,
     congruence_join,
@@ -27,7 +31,6 @@ from .algebras import (
 from .checks import (
     BudgetError,
     RelationClass,
-    SLResult,
     difunctional_all,
     ee_properties,
     enumerate_class_relations,
@@ -46,29 +49,27 @@ from .constructions import (
     maltsev_sl_witness,
 )
 from .relations import (
-    Carrier,
     Relation,
     compose,
     is_symmetric,
     meet,
     opposite,
-    transitive_closure,
-    union,
 )
 from .terms import find_3perm_terms, find_maltsev_term
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 __all__ = [
     "ConsistencyError",
     "SCHEMA",
-    "DEFAULT_SIZE_CAP",
     "bundled_corpus",
-    "enumerate_reflexive_compatible",
+    "load_corpus",
     "run_suite",
     "box_join_replay",
 ]
 
 SCHEMA = "relshift-report/1"
-DEFAULT_SIZE_CAP = 4
 
 # Class combinations exercised per algebra, keyed by the theorem layout
 # they correspond to.
@@ -94,85 +95,27 @@ class ConsistencyError(RuntimeError):
     """A term condition was found but a check it implies was violated."""
 
 
-def _cyclic_group(n: int) -> Algebra:
-    add = tuple((i + j) % n for i in range(n) for j in range(n))
-    neg = tuple((-i) % n for i in range(n))
-    return Algebra(
-        f"z{n}",
-        Carrier(n),
-        Signature((("add", 2), ("neg", 1), ("zero", 0))),
-        {"add": add, "neg": neg, "zero": (0,)},
-    )
+def load_corpus(directory: Traversable) -> dict[str, Algebra]:
+    """Every ``*.json`` algebra file in ``directory``, keyed by algebra name.
 
-
-def _meet_semilattice2() -> Algebra:
-    return Algebra(
-        "semilattice2", Carrier(2), Signature((("meet", 2),)), {"meet": (0, 0, 0, 1)}
-    )
-
-
-def _implication2() -> Algebra:
-    # x -> y with 1 as "true": 0->0 = 1, 0->1 = 1, 1->0 = 0, 1->1 = 1
-    return Algebra(
-        "implication2", Carrier(2), Signature((("imp", 2),)), {"imp": (1, 1, 0, 1)}
-    )
-
-
-def _set2() -> Algebra:
-    return Algebra("set2", Carrier(2), Signature(()), {})
-
-
-def _n5_unary() -> Algebra:
-    # Found by exhaustive search over two-unary-op algebras on 4 elements;
-    # its 5 congruences form the non-modular pentagon N5.
-    return Algebra(
-        "n5_unary",
-        Carrier(4),
-        Signature((("f", 1), ("g", 1))),
-        {"f": (0, 0, 2, 2), "g": (2, 3, 0, 1)},
-    )
+    ``directory`` is a path or a package resource directory.  A malformed
+    file raises AlgebraParseError naming the file.
+    """
+    corpus = {}
+    for f in sorted(directory.iterdir(), key=lambda f: f.name):
+        if not f.name.endswith(".json"):
+            continue
+        try:
+            alg = algebra_from_json(f.read_text())
+        except AlgebraParseError as e:
+            raise AlgebraParseError(f"{f}: {e}") from e
+        corpus[alg.name] = alg
+    return corpus
 
 
 def bundled_corpus() -> dict[str, Algebra]:
-    algebras = [
-        _cyclic_group(2),
-        _cyclic_group(3),
-        _cyclic_group(4),
-        _meet_semilattice2(),
-        _implication2(),
-        _set2(),
-        _n5_unary(),
-    ]
-    return {a.name: a for a in algebras}
-
-
-def enumerate_reflexive_compatible(
-    a: Algebra, cls: RelationClass = RelationClass.REFLEXIVE, size_cap: int = DEFAULT_SIZE_CAP
-) -> list[Relation]:
-    """All compatible relations of the class on A, lexicographic order.
-
-    Refuses outright (BudgetError) when the carrier exceeds the size cap.
-    """
-    if a.size > size_cap:
-        raise BudgetError(
-            f"carrier size {a.size} exceeds enumeration cap {size_cap}"
-        )
-    return enumerate_class_relations(a, cls)
-
-
-def _sl_result_record(res: SLResult) -> dict:
-    rec: dict = {"verdict": res.verdict}
-    if res.quadruple is not None:
-        rec["quadruple"] = list(res.quadruple)
-    if res.triple is not None:
-        rec["triple"] = {
-            "R": res.triple[0].pairs(),
-            "S": res.triple[1].pairs(),
-            "T": res.triple[2].pairs(),
-        }
-    if res.reason:
-        rec["reason"] = res.reason
-    return rec
+    """The seven bundled algebras, loaded from the packaged ``corpus/*.json``."""
+    return load_corpus(resources.files(__package__) / "corpus")
 
 
 def box_join_replay(a: Algebra, s: Relation, r: Relation, t: Relation) -> bool:
@@ -232,12 +175,10 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     rec["shifting_lemma"] = {}
     for label, (cr, cs, ct) in SUITE_CLASS_COMBOS:
         res = shifting_lemma_forall(a, cr, cs, ct, budget)
-        rec["shifting_lemma"][label] = _sl_result_record(res)
+        rec["shifting_lemma"][label] = res.to_dict()
 
-    rec["difunctional_all"] = _sl_result_record(difunctional_all(a, budget=budget))
-    rec["goursat_identity_all"] = _sl_result_record(
-        goursat_identity_all(a, budget=budget)
-    )
+    rec["difunctional_all"] = difunctional_all(a, budget=budget).to_dict()
+    rec["goursat_identity_all"] = goursat_identity_all(a, budget=budget).to_dict()
     rec["congruence_lattice_modular"] = congruence_lattice_is_modular(a)
 
     cons = all_congruences(a)

@@ -15,19 +15,18 @@ be checked by hand against the signature.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebras import Algebra
+from .checks import resolve_budget
 
 __all__ = [
     "TermFunction",
     "CloneResult",
     "TermSearchResult",
     "DEFAULT_CLONE_BUDGET",
-    "clone_budget",
     "generate_ternary_clone",
     "find_maltsev_term",
     "find_3perm_terms",
@@ -36,12 +35,6 @@ __all__ = [
 DEFAULT_CLONE_BUDGET = 5000
 
 Term = str | tuple  # "x" | "y" | "z" | (opname, child, ...)
-
-
-def clone_budget(default: int = DEFAULT_CLONE_BUDGET) -> int:
-    """Budget for clone generation; RELSHIFT_BUDGET overrides the default."""
-    env = os.environ.get("RELSHIFT_BUDGET")
-    return int(env) if env else default
 
 
 def term_to_sexpr(term: Term) -> str:
@@ -112,8 +105,7 @@ def generate_ternary_clone(a: Algebra, budget: int | None = None) -> CloneResult
     ordered by operation and argument indices.  ``complete`` is set iff the
     fixpoint was reached within the budget.
     """
-    if budget is None:
-        budget = clone_budget()
+    budget = resolve_budget(budget, DEFAULT_CLONE_BUDGET)
     if budget < 3:
         raise ValueError("budget must allow at least the three projections")
     n = a.size
@@ -141,13 +133,7 @@ def generate_ternary_clone(a: Algebra, budget: int | None = None) -> CloneResult
                         continue
                     if any(i >= prev_len for i in args):
                         continue
-                    vals = tables_np[args[0]]
-                    if arity == 1:
-                        cand = f[vals]
-                    elif arity == 2:
-                        cand = f[vals, tables_np[args[1]]]
-                    else:
-                        cand = f[vals, tables_np[args[1]], tables_np[args[2]]]
+                    cand = f[tuple(tables_np[i] for i in args)]
                     term = (op, *(known[order[i]] for i in args))
                     _add(known, order, cand, term)
                     if len(order) > budget:
@@ -192,9 +178,7 @@ def _idem_right(t: np.ndarray) -> np.ndarray:
 def find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone element p with p(x,y,y) = x and p(x,x,y) = y."""
     clone = generate_ternary_clone(a, budget)
-    n = a.size
-    col_x = np.arange(n)[:, None] * np.ones(n, dtype=np.intp)[None, :]
-    row_y = np.ones(n, dtype=np.intp)[:, None] * np.arange(n)[None, :]
+    col_x, row_y = np.indices((a.size, a.size))  # x and y, indexed by (x, y)
     for fn in clone.functions:
         t = fn.array()
         if np.array_equal(_idem_left(t), col_x) and np.array_equal(
@@ -207,9 +191,7 @@ def find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult
 def find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone pair (r, s) with r(x,y,y)=x, r(x,x,y)=s(x,y,y), s(x,x,y)=y."""
     clone = generate_ternary_clone(a, budget)
-    n = a.size
-    col_x = np.arange(n)[:, None] * np.ones(n, dtype=np.intp)[None, :]
-    row_y = np.ones(n, dtype=np.intp)[:, None] * np.arange(n)[None, :]
+    col_x, row_y = np.indices((a.size, a.size))  # x and y, indexed by (x, y)
     r_cands = [
         fn for fn in clone.functions if np.array_equal(_idem_left(fn.array()), col_x)
     ]

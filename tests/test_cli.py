@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from relshift.algebras import algebra_to_json
 from relshift.cli import main
 from relshift.harness import bundled_corpus
-from relshift.relations import Relation, relation_to_json
+from relshift.relations import Carrier, Relation, diagonal, relation_to_json
 
 
 @pytest.fixture()
@@ -36,11 +36,18 @@ def files(tmp_path):
     p = tmp_path / "diag.json"
     p.write_text(relation_to_json(diag))
     paths["diag"] = str(p)
+    # the order of semilattice2, on z2's carrier: not compatible with z2
+    p = tmp_path / "z2_order.json"
+    p.write_text(relation_to_json(order))
+    paths["z2_order"] = str(p)
+    p = tmp_path / "diag3.json"
+    p.write_text(relation_to_json(diagonal(Carrier(3))))
+    paths["diag3"] = str(p)
     return paths
 
 
-def run(runner, args):
-    result = runner.invoke(main, args)
+def run(runner, args, env=None):
+    result = runner.invoke(main, args, env=env)
     # stdout always carries exactly one JSON document
     doc = json.loads(result.stdout)
     return result.exit_code, doc
@@ -144,6 +151,57 @@ class TestCheck:
             ],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("prop, flags", [
+        ("shifting-lemma", ("--R", "--S", "--T")),
+        ("permutability", ("--R", "--S")),
+    ])
+    @pytest.mark.parametrize("bad, message", [
+        ("diag3", "not on the carrier"),
+        ("z2_order", "not compatible"),
+    ])
+    def test_explicit_relations_checked_against_algebra(self, runner, files, prop, flags, bad, message):
+        args = ["check", "--algebra", files["z2"], "--property", prop]
+        for flag in flags:
+            args += [flag, files[bad]]
+        code, doc = run(runner, args)
+        assert code == 2
+        assert message in doc["error"]
+
+
+class TestBudgetInput:
+    @pytest.mark.parametrize("value", ["abc", "-1", "0"])
+    def test_malformed_env_budget_is_usage_error(self, runner, files, value):
+        code, doc = run(
+            runner,
+            ["check", "--algebra", files["z2"], "--property", "shifting-lemma", "--classes", "refl,refl,refl"],
+            env={"RELSHIFT_BUDGET": value},
+        )
+        assert code == 2
+        assert "RELSHIFT_BUDGET" in doc["error"]
+
+    def test_malformed_env_budget_stops_terms(self, runner, files):
+        code, doc = run(
+            runner,
+            ["terms", "maltsev", "--algebra", files["z2"]],
+            env={"RELSHIFT_BUDGET": "abc"},
+        )
+        assert code == 2
+        assert "RELSHIFT_BUDGET" in doc["error"]
+
+    def test_budget_below_projections_is_usage_error(self, runner, files):
+        code, doc = run(runner, ["terms", "maltsev", "--algebra", files["z2"], "--budget", "1"])
+        assert code == 2
+        assert "budget" in doc["error"]
+
+    def test_env_budget_applies(self, runner, files):
+        code, doc = run(
+            runner,
+            ["check", "--algebra", files["z2"], "--property", "difunctional"],
+            env={"RELSHIFT_BUDGET": "8"},
+        )
+        assert code == 3
+        assert doc["reason"] == "2^4 candidate relations exceed budget 8"
 
 
 class TestWitness:

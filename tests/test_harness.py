@@ -6,15 +6,16 @@ import pathlib
 import pytest
 
 from relshift.algebras import algebra_from_json, algebra_to_json, all_congruences
-from relshift.checks import BudgetError, RelationClass, shifting_lemma
+from relshift.checks import RelationClass, enumerate_class_relations, shifting_lemma
 from relshift.harness import (
     SCHEMA,
     bundled_corpus,
     box_join_replay,
-    enumerate_reflexive_compatible,
     run_suite,
 )
 from relshift.relations import Relation, Carrier
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled_seed7.json"
 
 
 class TestBundledCorpus:
@@ -31,16 +32,28 @@ class TestBundledCorpus:
         }
 
     def test_packaged_json_matches_builders(self):
-        from importlib import resources
-
+        # the packaged tables against the defining formulas, entry by entry
         corpus = bundled_corpus()
-        root = resources.files("relshift") / "corpus"
+        for n in (2, 3, 4):
+            z = corpus[f"z{n}"]
+            assert z.size == n
+            assert z.sig.ops == (("add", 2), ("neg", 1), ("zero", 0))
+            assert z.tables["add"] == tuple((i + j) % n for i in range(n) for j in range(n))
+            assert z.tables["neg"] == tuple((-i) % n for i in range(n))
+            assert z.tables["zero"] == (0,)
+        pairs = [(i, j) for i in range(2) for j in range(2)]
+        assert corpus["semilattice2"].tables == {"meet": tuple(min(i, j) for i, j in pairs)}
+        assert corpus["implication2"].tables == {"imp": tuple(int(not i or j) for i, j in pairs)}
+        assert corpus["set2"].size == 2 and corpus["set2"].tables == {}
+        n5 = corpus["n5_unary"]
+        assert n5.size == 4
+        # f collapses the low bit, g flips the high bit
+        assert n5.tables == {
+            "f": tuple(x & 2 for x in range(4)),
+            "g": tuple(x ^ 2 for x in range(4)),
+        }
         for name, a in corpus.items():
-            text = (root / f"{name}.json").read_text()
-            b = algebra_from_json(text)
-            assert b.name == a.name
-            assert b.size == a.size
-            assert b.tables == a.tables
+            assert a.name == name
 
     def test_round_trip_via_json(self):
         for a in bundled_corpus().values():
@@ -51,7 +64,7 @@ class TestBundledCorpus:
 class TestEnumeration:
     def test_z2_reflexive_members(self):
         z2 = bundled_corpus()["z2"]
-        rels = enumerate_reflexive_compatible(z2)
+        rels = enumerate_class_relations(z2, RelationClass.REFLEXIVE)
         pair_lists = [r.pairs() for r in rels]
         assert sorted(pair_lists) == pair_lists
         assert pair_lists == [
@@ -61,18 +74,13 @@ class TestEnumeration:
 
     def test_equivalence_class_matches_all_congruences(self):
         z4 = bundled_corpus()["z4"]
-        assert enumerate_reflexive_compatible(z4, RelationClass.EQUIVALENCE) == sorted(
+        assert enumerate_class_relations(z4, RelationClass.EQUIVALENCE) == sorted(
             all_congruences(z4), key=lambda r: r.pairs()
         )
 
     def test_set2_has_four_reflexive(self):
         set2 = bundled_corpus()["set2"]
-        assert len(enumerate_reflexive_compatible(set2)) == 4
-
-    def test_cap_refusal(self):
-        z4 = bundled_corpus()["z4"]
-        with pytest.raises(BudgetError, match="cap"):
-            enumerate_reflexive_compatible(z4, size_cap=3)
+        assert len(enumerate_class_relations(set2, RelationClass.REFLEXIVE)) == 4
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +148,10 @@ class TestSuite:
     def test_join_formula_on_3perm_algebras(self, report):
         for name in ("z2", "z3", "z4", "implication2"):
             assert report["algebras"][name]["join_via_rsr_matches"] is True
+
+    def test_matches_golden_report(self, report):
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == GOLDEN.read_text()
 
     def test_determinism(self, report):
         again = run_suite(bundled_corpus(), seed=7)
