@@ -185,12 +185,11 @@ def check(algebra_path, prop, r_path, s_path, t_path, classes) -> None:
             r = _load_relation(r_path, "--R")
             record = ee_properties(a, r)
             print(json.dumps(record))
-            ok = (
-                record["ee_op_is_equivalence"]
-                and record["ee_op_equals_op_ee"]
-                and record["reflexive_positive_all_equivalence"] is True
-            )
-            sys.exit(EXIT_HOLDS if ok else EXIT_VIOLATED)
+            # the sweep reads True, False or "inconclusive: …"
+            sweep = record["reflexive_positive_all_equivalence"]
+            if not (record["ee_op_is_equivalence"] and record["ee_op_equals_op_ee"]) or sweep is False:
+                sys.exit(EXIT_VIOLATED)
+            sys.exit(EXIT_HOLDS if sweep is True else EXIT_INCONCLUSIVE)
     except (ShapeError, PreconditionError) as e:
         _fail(str(e))
 

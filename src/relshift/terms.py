@@ -1,8 +1,10 @@
 """Bounded generation of ternary term operations and term-condition search.
 
 The ternary clone of a finite algebra is generated from the three
-projections by pointwise application of the basic operations.  Searches
-for the difference-term conditions run over the generated functions:
+projections by pointwise application of the basic operations.  The clone
+budget counts every function kept, projections and constants included.
+Searches for the Mal'tsev and the 3-permutability term conditions run over
+the generated functions:
 
 * Mal'tsev (2-permutable): p with p(x,y,y) = x and p(x,x,y) = y;
 * 3-permutable: a pair (r, s) with r(x,y,y) = x, r(x,x,y) = s(x,y,y)
@@ -54,11 +56,6 @@ class TermFunction:
     table: tuple[int, ...]
     term: Term
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.intp).reshape(
-            (self.size, self.size, self.size)
-        )
-
     def sexpr(self) -> str:
         return term_to_sexpr(self.term)
 
@@ -90,12 +87,9 @@ class TermSearchResult:
         return self.status == "found"
 
 
-def _projection_tables(n: int) -> list[tuple[tuple[int, ...], Term]]:
-    grid = np.indices((n, n, n))
-    names: list[Term] = ["x", "y", "z"]
-    return [
-        (tuple(int(v) for v in grid[i].ravel()), names[i]) for i in range(3)
-    ]
+def _table_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the elements 0..n-1."""
+    return np.min_scalar_type(n - 1)
 
 
 def generate_ternary_clone(a: Algebra, budget: int | None = None) -> CloneResult:
@@ -103,104 +97,89 @@ def generate_ternary_clone(a: Algebra, budget: int | None = None) -> CloneResult
 
     Deterministic: functions appear in breadth-first rounds, within a round
     ordered by operation and argument indices.  ``complete`` is set iff the
-    fixpoint was reached within the budget.
+    fixpoint was reached within the budget; otherwise the first ``budget``
+    functions are returned.
     """
     budget = resolve_budget(budget, DEFAULT_CLONE_BUDGET)
     if budget < 3:
         raise ValueError("budget must allow at least the three projections")
-    n = a.size
-    known: dict[tuple[int, ...], Term] = {}
-    order: list[tuple[int, ...]] = []
-    for table, term in _projection_tables(n):
-        if table not in known:
-            known[table] = term
-            order.append(table)
-    complete = True
-    frontier_start = 0
-    while frontier_start < len(order):
-        prev_len = len(order)
-        tables_np = [np.asarray(t, dtype=np.intp) for t in order]
+    n, m = a.size, a.size**3
+    dtype = _table_dtype(n)
+    width = m * dtype.itemsize
+    known: dict[bytes, Term] = {}  # table bytes -> derivation term
+    keys: list[bytes] = []  # table bytes, in clone order
+
+    def keep(block: np.ndarray, term_of) -> bool:
+        """Keep the new rows of ``block`` in order; True once past the budget."""
+        data = block.tobytes()
+        for j in range(len(block)):
+            key = data[j * width : (j + 1) * width]
+            if key not in known:
+                known[key] = term_of(j)
+                keys.append(key)
+                if len(keys) > budget:
+                    return True
+        return False
+
+    def result(complete: bool) -> CloneResult:
+        fns = tuple(
+            TermFunction(n, tuple(np.frombuffer(key, dtype).tolist()), known[key])
+            for key in keys[:budget]
+        )
+        return CloneResult(fns, complete, budget)
+
+    keep(np.indices((n, n, n), dtype).reshape(3, m), ("x", "y", "z").__getitem__)
+    start = 0
+    while start < len(keys):
+        end = len(keys)
+        tables = np.frombuffer(b"".join(keys), dtype).reshape(end, m)
         for op, arity in a.sig.ops:
-            f = a.table_array(op)
+            f = a.table_array(op).astype(dtype)
             if arity == 0:
-                cand = np.full(n * n * n, int(f[()]), dtype=np.intp)
-                _add(known, order, cand, (op,))
-            else:
-                # at least one argument drawn from the latest round, so every
-                # combination is visited exactly once across rounds
-                for args in itertools.product(range(len(order)), repeat=arity):
-                    if max(args) < frontier_start:
-                        continue
-                    if any(i >= prev_len for i in args):
-                        continue
-                    cand = f[tuple(tables_np[i] for i in args)]
-                    term = (op, *(known[order[i]] for i in args))
-                    _add(known, order, cand, term)
-                    if len(order) > budget:
-                        fns = _freeze(a, known, order[:budget])
-                        return CloneResult(fns, complete=False, budget=budget)
-        frontier_start = prev_len
-    return CloneResult(_freeze(a, known, order), complete=True, budget=budget)
+                if keep(np.full((1, m), f, dtype), lambda j: (op,)):
+                    return result(False)
+                continue
+            # argument tuples over tables[:end] with at least one index from
+            # the latest round, so every combination is visited exactly once
+            # across rounds; lexicographic, the last index in whole blocks
+            for prefix in itertools.product(range(end), repeat=arity - 1):
+                lo = 0 if any(i >= start for i in prefix) else start
+                pre = tuple(known[keys[i]] for i in prefix)
+                block = f[tuple(tables[i] for i in prefix) + (tables[lo:end],)]
+                if keep(block, lambda j: (op, *pre, known[keys[lo + j]])):
+                    return result(False)
+        start = end
+    return result(True)
 
 
-def _add(
-    known: dict[tuple[int, ...], Term],
-    order: list[tuple[int, ...]],
-    cand: np.ndarray,
-    term: Term,
-) -> None:
-    key = tuple(int(v) for v in cand.ravel())
-    if key not in known:
-        known[key] = term
-        order.append(key)
-
-
-def _freeze(
-    a: Algebra, known: dict[tuple[int, ...], Term], order: list[tuple[int, ...]]
-) -> tuple[TermFunction, ...]:
-    return tuple(TermFunction(a.size, t, known[t]) for t in order)
-
-
-def _idem_left(t: np.ndarray) -> np.ndarray:
-    """t(x, y, y) as an (n, n) array indexed by (x, y)."""
-    n = t.shape[0]
-    i = np.arange(n)
-    return t[i[:, None], i[None, :], i[None, :]]
-
-
-def _idem_right(t: np.ndarray) -> np.ndarray:
-    """t(x, x, y) as an (n, n) array indexed by (x, y)."""
-    n = t.shape[0]
-    i = np.arange(n)
-    return t[i[:, None], i[:, None], i[None, :]]
+def _identities(clone: CloneResult, n: int) -> tuple[np.ndarray, ...]:
+    """For every clone member t, in clone order: t(x,y,y) and t(x,x,y) as
+    rows over the pairs (x, y), whether t(x,y,y) = x and whether t(x,x,y) = y."""
+    x, y = np.indices((n, n)).reshape(2, -1)
+    tables = np.array([fn.table for fn in clone.functions], dtype=_table_dtype(n))
+    xyy, xxy = tables[:, (x * n + y) * n + y], tables[:, (x * n + x) * n + y]
+    return xyy, xxy, (xyy == x).all(axis=1), (xxy == y).all(axis=1)
 
 
 def find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone element p with p(x,y,y) = x and p(x,x,y) = y."""
     clone = generate_ternary_clone(a, budget)
-    col_x, row_y = np.indices((a.size, a.size))  # x and y, indexed by (x, y)
-    for fn in clone.functions:
-        t = fn.array()
-        if np.array_equal(_idem_left(t), col_x) and np.array_equal(
-            _idem_right(t), row_y
-        ):
-            return TermSearchResult("found", (fn,))
+    _, _, left_ok, right_ok = _identities(clone, a.size)
+    hits = np.flatnonzero(left_ok & right_ok)
+    if len(hits):
+        return TermSearchResult("found", (clone.functions[hits[0]],))
     return TermSearchResult("not_found" if clone.complete else "inconclusive")
 
 
 def find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone pair (r, s) with r(x,y,y)=x, r(x,x,y)=s(x,y,y), s(x,x,y)=y."""
     clone = generate_ternary_clone(a, budget)
-    col_x, row_y = np.indices((a.size, a.size))  # x and y, indexed by (x, y)
-    r_cands = [
-        fn for fn in clone.functions if np.array_equal(_idem_left(fn.array()), col_x)
-    ]
-    s_cands = [
-        fn for fn in clone.functions if np.array_equal(_idem_right(fn.array()), row_y)
-    ]
-    for r in r_cands:
-        r_mid = _idem_right(r.array())
-        for s in s_cands:
-            if np.array_equal(r_mid, _idem_left(s.array())):
-                return TermSearchResult("found", (r, s))
+    xyy, xxy, left_ok, right_ok = _identities(clone, a.size)
+    least_s: dict[bytes, int] = {}  # s(x,y,y) -> least s with s(x,x,y) = y
+    for i in np.flatnonzero(right_ok):
+        least_s.setdefault(xyy[i].tobytes(), i)
+    for i in np.flatnonzero(left_ok):
+        s = least_s.get(xxy[i].tobytes())
+        if s is not None:
+            return TermSearchResult("found", (clone.functions[i], clone.functions[s]))
     return TermSearchResult("not_found" if clone.complete else "inconclusive")

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from relshift.algebras import algebra_to_json
+from relshift.algebras import Algebra, Signature, algebra_to_json
 from relshift.cli import main
 from relshift.harness import bundled_corpus
 from relshift.relations import Carrier, Relation, diagonal, relation_to_json
@@ -43,6 +43,14 @@ def files(tmp_path):
     p = tmp_path / "diag3.json"
     p.write_text(relation_to_json(diagonal(Carrier(3))))
     paths["diag3"] = str(p)
+    # a 3-element set with a reflexive E whose EE° and E°E differ
+    p = tmp_path / "set3.json"
+    p.write_text(algebra_to_json(Algebra("set3", Carrier(3), Signature(()), {})))
+    paths["set3"] = str(p)
+    fan = Relation.from_pairs(Carrier(3), Carrier(3), [(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)])
+    p = tmp_path / "fan.json"
+    p.write_text(relation_to_json(fan))
+    paths["fan"] = str(p)
     return paths
 
 
@@ -167,6 +175,26 @@ class TestCheck:
         code, doc = run(runner, args)
         assert code == 2
         assert message in doc["error"]
+
+    @pytest.mark.parametrize("algebra, relation, env, expected", [
+        ("z2", "diag", None, 0),
+        ("semilattice2", "order", None, 0),
+        ("set3", "fan", None, 1),
+        # the reflexive-positive sweep exceeds the budget: inconclusive when
+        # both facts on E hold, violated when one fails
+        ("z2", "diag", {"RELSHIFT_BUDGET": "1"}, 3),
+        ("set3", "fan", {"RELSHIFT_BUDGET": "1"}, 1),
+    ])
+    def test_ee_exit_codes(self, runner, files, algebra, relation, env, expected):
+        code, doc = run(
+            runner,
+            ["check", "--algebra", files[algebra], "--property", "ee", "--R", files[relation]],
+            env=env,
+        )
+        assert code == expected
+        if expected == 3:
+            assert doc["ee_op_is_equivalence"] and doc["ee_op_equals_op_ee"]
+            assert doc["reflexive_positive_all_equivalence"].startswith("inconclusive")
 
 
 class TestBudgetInput:

@@ -1,12 +1,16 @@
-"""The compatibility kernel and the brute-force enumerators against reference code.
+"""The compatibility kernel, the brute-force enumerators and the clone
+generation against reference code.
 
 The reference functions below are the earlier hand-written forms: one
 branch per arity for applying an operation coordinatewise, one
-enumeration loop per relation class, and the double loops that built the
-R and T relations of the pair object.  They stay here as oracles for the
-shared kernel, the single bitmask loop and the vectorized builders in
-``relshift``, checked on random algebras with 1-3 elements and operations
-of arity 0-3, and on random reflexive relations.
+enumeration loop per relation class, the double loops that built the
+R and T relations of the pair object, and the clone generation that kept
+each table as a tuple of ints and visited every argument tuple one at a
+time, with the term searches that scanned the clone function by function.
+They stay here as oracles for the shared kernel, the single bitmask loop,
+the vectorized builders and the block-wise clone in ``relshift``, checked
+on random algebras with 1-3 elements and operations of arity 0-3, and on
+random reflexive relations.
 """
 
 import itertools
@@ -27,9 +31,20 @@ from relshift.checks import (
     RelationClass,
     enumerate_class_relations,
     enumerate_compatible_relations,
+    resolve_budget,
 )
 from relshift.constructions import build_R, build_T
 from relshift.relations import Carrier, Relation, is_positive, is_reflexive
+from relshift.terms import (
+    DEFAULT_CLONE_BUDGET,
+    CloneResult,
+    Term,
+    TermFunction,
+    TermSearchResult,
+    find_3perm_terms,
+    find_maltsev_term,
+    generate_ternary_clone,
+)
 
 
 def ref_is_compatible_between(a, b, r):
@@ -128,6 +143,129 @@ def ref_build_R(e):
     return Relation(Carrier(k), Carrier(k), m)
 
 
+
+def _projection_tables(n: int) -> list[tuple[tuple[int, ...], Term]]:
+    grid = np.indices((n, n, n))
+    names: list[Term] = ["x", "y", "z"]
+    return [
+        (tuple(int(v) for v in grid[i].ravel()), names[i]) for i in range(3)
+    ]
+
+
+def ref_generate_ternary_clone(a: Algebra, budget: int | None = None) -> CloneResult:
+    """Close the three projections under A's basic operations, pointwise.
+
+    Deterministic: functions appear in breadth-first rounds, within a round
+    ordered by operation and argument indices.  ``complete`` is set iff the
+    fixpoint was reached within the budget.
+    """
+    budget = resolve_budget(budget, DEFAULT_CLONE_BUDGET)
+    if budget < 3:
+        raise ValueError("budget must allow at least the three projections")
+    n = a.size
+    known: dict[tuple[int, ...], Term] = {}
+    order: list[tuple[int, ...]] = []
+    for table, term in _projection_tables(n):
+        if table not in known:
+            known[table] = term
+            order.append(table)
+    complete = True
+    frontier_start = 0
+    while frontier_start < len(order):
+        prev_len = len(order)
+        tables_np = [np.asarray(t, dtype=np.intp) for t in order]
+        for op, arity in a.sig.ops:
+            f = a.table_array(op)
+            if arity == 0:
+                cand = np.full(n * n * n, int(f[()]), dtype=np.intp)
+                _add(known, order, cand, (op,))
+            else:
+                # at least one argument drawn from the latest round, so every
+                # combination is visited exactly once across rounds
+                for args in itertools.product(range(len(order)), repeat=arity):
+                    if max(args) < frontier_start:
+                        continue
+                    if any(i >= prev_len for i in args):
+                        continue
+                    cand = f[tuple(tables_np[i] for i in args)]
+                    term = (op, *(known[order[i]] for i in args))
+                    _add(known, order, cand, term)
+                    if len(order) > budget:
+                        fns = _freeze(a, known, order[:budget])
+                        return CloneResult(fns, complete=False, budget=budget)
+        frontier_start = prev_len
+    return CloneResult(_freeze(a, known, order), complete=True, budget=budget)
+
+
+def _add(
+    known: dict[tuple[int, ...], Term],
+    order: list[tuple[int, ...]],
+    cand: np.ndarray,
+    term: Term,
+) -> None:
+    key = tuple(int(v) for v in cand.ravel())
+    if key not in known:
+        known[key] = term
+        order.append(key)
+
+
+def _freeze(
+    a: Algebra, known: dict[tuple[int, ...], Term], order: list[tuple[int, ...]]
+) -> tuple[TermFunction, ...]:
+    return tuple(TermFunction(a.size, t, known[t]) for t in order)
+
+
+def _array(fn: TermFunction) -> np.ndarray:
+    return np.asarray(fn.table, dtype=np.intp).reshape(
+        (fn.size, fn.size, fn.size)
+    )
+
+
+def _idem_left(t: np.ndarray) -> np.ndarray:
+    """t(x, y, y) as an (n, n) array indexed by (x, y)."""
+    n = t.shape[0]
+    i = np.arange(n)
+    return t[i[:, None], i[None, :], i[None, :]]
+
+
+def _idem_right(t: np.ndarray) -> np.ndarray:
+    """t(x, x, y) as an (n, n) array indexed by (x, y)."""
+    n = t.shape[0]
+    i = np.arange(n)
+    return t[i[:, None], i[:, None], i[None, :]]
+
+
+def ref_find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult:
+    """Least clone element p with p(x,y,y) = x and p(x,x,y) = y."""
+    clone = ref_generate_ternary_clone(a, budget)
+    col_x, row_y = np.indices((a.size, a.size))  # x and y, indexed by (x, y)
+    for fn in clone.functions:
+        t = _array(fn)
+        if np.array_equal(_idem_left(t), col_x) and np.array_equal(
+            _idem_right(t), row_y
+        ):
+            return TermSearchResult("found", (fn,))
+    return TermSearchResult("not_found" if clone.complete else "inconclusive")
+
+
+def ref_find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchResult:
+    """Least clone pair (r, s) with r(x,y,y)=x, r(x,x,y)=s(x,y,y), s(x,x,y)=y."""
+    clone = ref_generate_ternary_clone(a, budget)
+    col_x, row_y = np.indices((a.size, a.size))  # x and y, indexed by (x, y)
+    r_cands = [
+        fn for fn in clone.functions if np.array_equal(_idem_left(_array(fn)), col_x)
+    ]
+    s_cands = [
+        fn for fn in clone.functions if np.array_equal(_idem_right(_array(fn)), row_y)
+    ]
+    for r in r_cands:
+        r_mid = _idem_right(_array(r))
+        for s in s_cands:
+            if np.array_equal(r_mid, _idem_left(_array(s))):
+                return TermSearchResult("found", (r, s))
+    return TermSearchResult("not_found" if clone.complete else "inconclusive")
+
+
 def naive_filter(a, b, keep):
     """Every relation A -> B for which keep(rel) holds, lexicographic."""
     cells = list(itertools.product(range(a.size), range(b.size)))
@@ -214,3 +352,39 @@ def test_pair_object_builders_match_reference(n, data):
     e = as_paired_object(a, Relation(a.carrier, a.carrier, r.members | np.eye(n, dtype=bool)))
     assert build_T(e) == ref_build_T(e)
     assert build_R(e) == ref_build_R(e)
+
+
+@st.composite
+def clone_cases(draw):
+    """A random algebra and a clone budget.  A ternary operation comes only
+    with a budget of at most 40: the reference visits len(order)**arity
+    argument tuples per round."""
+    arities = draw(st.lists(st.integers(0, MAX_ARITY), min_size=1, max_size=3))
+    budget = draw(st.integers(3, 40 if MAX_ARITY in arities else 100))
+    sig = Signature(tuple((f"f{i}", k) for i, k in enumerate(arities)))
+    return draw(algebras(sig)), budget
+
+
+def cut_search(want, clone):
+    """The reference's search result on a clone it overran: its terms, if
+    all of them are among the first ``budget`` functions, else inconclusive."""
+    if want.found and all(t in clone.functions for t in want.terms):
+        return want
+    return TermSearchResult("inconclusive")
+
+
+@settings(max_examples=150, deadline=None)
+@given(clone_cases())
+def test_clone_and_term_searches_match_reference(case):
+    a, budget = case
+    got = generate_ternary_clone(a, budget)
+    want = ref_generate_ternary_clone(a, budget)
+    want_p = ref_find_maltsev_term(a, budget)
+    want_rs = ref_find_3perm_terms(a, budget)
+    if len(want.functions) > budget:
+        # the reference skipped the budget test after a constant
+        want = CloneResult(want.functions[:budget], complete=False, budget=budget)
+        want_p, want_rs = cut_search(want_p, want), cut_search(want_rs, want)
+    assert got == want
+    assert find_maltsev_term(a, budget) == want_p
+    assert find_3perm_terms(a, budget) == want_rs

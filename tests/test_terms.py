@@ -73,7 +73,14 @@ class TestCloneGeneration:
     def test_budget_exhaustion_flagged(self):
         clone = generate_ternary_clone(cyclic_group(3), budget=5)
         assert not clone.complete
-        assert len(clone.functions) <= 5
+        assert len(clone.functions) == 5
+
+    def test_constant_counts_against_budget(self):
+        a = Algebra("const2", Carrier(2), Signature((("c", 0),)), {"c": (1,)})
+        clone = generate_ternary_clone(a, budget=3)
+        assert not clone.complete
+        assert [f.term for f in clone.functions] == ["x", "y", "z"]
+        assert generate_ternary_clone(a, budget=4).complete
 
     def test_budget_must_cover_projections(self):
         with pytest.raises(ValueError):
