@@ -163,6 +163,19 @@ def _apply_all(f: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return f[tuple(xs.reshape(shape) for shape in _GRID_SHAPES[f.ndim])]
 
 
+def _close_between(a: Algebra, b: Algebra, m: np.ndarray) -> np.ndarray:
+    """Close the boolean matrix ``m`` of a relation A -> B, in place, under
+    every operation applied coordinatewise; returns ``m``."""
+    count = np.count_nonzero(m)
+    while True:
+        xs, ys = np.nonzero(m)
+        for op, _ in a.sig.ops:
+            m[_apply_all(a.table_array(op), xs), _apply_all(b.table_array(op), ys)] = True
+        count, before = np.count_nonzero(m), count
+        if count == before:
+            return m
+
+
 def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, int]]) -> Relation:
     """Least compatible relation containing ``seed`` (subalgebra of A^2)."""
     n = a.size
@@ -171,14 +184,7 @@ def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, in
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"seed pair ({x}, {y}) out of range")
         m[x, y] = True
-    while True:
-        xs, ys = np.nonzero(m)
-        before = m.copy()
-        for op, _ in a.sig.ops:
-            f = a.table_array(op)
-            m[_apply_all(f, xs), _apply_all(f, ys)] = True
-        if np.array_equal(m, before):
-            return Relation(a.carrier, a.carrier, m)
+    return Relation(a.carrier, a.carrier, _close_between(a, a, m))
 
 
 def principal_congruence(a: Algebra, x: int, y: int) -> Relation:

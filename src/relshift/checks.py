@@ -15,7 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .algebras import Algebra, _is_compatible_between, all_congruences, is_compatible
+from .algebras import (
+    Algebra,
+    _close_between,
+    _is_compatible_between,
+    all_congruences,
+    is_compatible,
+)
 from .relations import (
     Relation,
     ShapeError,
@@ -44,6 +50,7 @@ __all__ = [
     "enumerate_compatible_relations",
     "difunctional_all",
     "goursat_identity_all",
+    "reflexive_positive_all_equivalence",
     "ee_properties",
 ]
 
@@ -182,35 +189,50 @@ def resolve_budget(budget: int | None, default: int) -> int:
     return value
 
 
-def _brute_force(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
-    """Compatible relations A -> B containing ``base``, lexicographic: one
-    candidate per subset of the positions outside ``base``."""
+def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
+    """Compatible relations A -> B containing ``base``, lexicographic.
+
+    Found as closures: the closure of ``base``, then the closure of each
+    relation found with one missing pair added, until no new relation
+    appears.  The budget still counts the 2^k candidates, k the positions
+    outside ``base``, and refuses before any closure runs.
+    """
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
-    rows, cols = np.nonzero(~base)
-    k = len(rows)
+    k = int(np.count_nonzero(~base))
     if 2**k > budget:
         raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
-    shifts = np.arange(k)
-    out = []
-    for bits in range(2**k):
-        m = base.copy()
-        m[rows, cols] = (bits >> shifts) & 1
-        rel = Relation(a.carrier, b.carrier, m)
-        if _is_compatible_between(a, b, rel):
-            out.append(rel)
+    start = _close_between(a, b, base.copy())
+    found = {start.tobytes(): start}
+    todo = [start]
+    while todo:
+        m = todo.pop()
+        for x, y in zip(*np.nonzero(~m)):
+            grown = m.copy()
+            grown[x, y] = True
+            _close_between(a, b, grown)
+            key = grown.tobytes()
+            if key not in found:
+                found[key] = grown
+                todo.append(grown)
+    out = [Relation(a.carrier, b.carrier, m) for m in found.values()]
+    for rel in out:
+        if not _is_compatible_between(a, b, rel):
+            raise RuntimeError(f"closure enumeration kept an incompatible relation {rel.pairs()}")
     return sorted(out, key=lambda r: r.pairs())
 
 
 def enumerate_compatible_relations(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> list[Relation]:
-    """All compatible relations A -> B (subalgebras of A x B), lexicographic.
+    """All compatible relations A -> B (subalgebras of A x B), lexicographic,
+    found as closures.
 
-    Raises BudgetError when the 2**(|A| * |B|) candidate count exceeds the
-    budget.
+    Raises BudgetError, before any closure runs, when the 2**(|A| * |B|)
+    candidate relations exceed the budget; the budget still counts every
+    candidate, not the relations found.
     """
     b = a if b is None else b
-    return _brute_force(a, b, np.zeros((a.size, b.size), dtype=bool), budget)
+    return _subalgebras(a, b, np.zeros((a.size, b.size), dtype=bool), budget)
 
 
 def enumerate_class_relations(
@@ -222,7 +244,7 @@ def enumerate_class_relations(
     if cls is RelationClass.ARBITRARY:
         return enumerate_compatible_relations(a, a, budget)
     # reflexive cases: free choice only on the off-diagonal positions
-    rels = _brute_force(a, a, np.eye(a.size, dtype=bool), budget)
+    rels = _subalgebras(a, a, np.eye(a.size, dtype=bool), budget)
     if cls is RelationClass.REFLEXIVE_POSITIVE:
         rels = [r for r in rels if is_positive(r)]
     return rels
@@ -237,14 +259,16 @@ def shifting_lemma_forall(
 ) -> SLResult:
     """Shifting Lemma quantified over all compatible relations of the given
     classes on A.  Returns the first violation in lexicographic triple
-    order, or "inconclusive" when enumeration would exceed the budget."""
+    order, or "inconclusive" when enumeration would exceed the budget.
+    Each distinct class is enumerated once."""
     try:
-        rs = enumerate_class_relations(a, class_r, budget)
-        ss = enumerate_class_relations(a, class_s, budget)
-        ts = enumerate_class_relations(a, class_t, budget)
+        rels = {
+            cls: enumerate_class_relations(a, cls, budget)
+            for cls in dict.fromkeys((class_r, class_s, class_t))
+        }
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
-    for r, s, t in itertools.product(rs, ss, ts):
+    for r, s, t in itertools.product(rels[class_r], rels[class_s], rels[class_t]):
         if not leq(meet(r, s), t):
             continue
         res = shifting_lemma(r, s, t)
@@ -300,24 +324,36 @@ def goursat_identity_all(
     return SLResult("holds")
 
 
-def ee_properties(a: Algebra, e: Relation, budget: int | None = None) -> dict:
+def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:
+    """Whether every reflexive positive compatible relation on A is an
+    equivalence, or "inconclusive: …" when the enumeration exceeds the budget."""
+    try:
+        pos = enumerate_class_relations(a, RelationClass.REFLEXIVE_POSITIVE, budget)
+    except BudgetError as err:
+        return f"inconclusive: {err}"
+    return all(is_equivalence(p) for p in pos)
+
+
+def ee_properties(
+    a: Algebra, e: Relation, budget: int | None = None, sweep: bool | str | None = None
+) -> dict:
     """Symmetrization facts for one reflexive compatible E, plus whether
-    every reflexive positive compatible relation on A is an equivalence."""
+    every reflexive positive compatible relation on A is an equivalence.
+
+    The last fact does not depend on E; ``sweep``, when given, is its value
+    from ``reflexive_positive_all_equivalence(a, budget)`` and is not
+    computed again.
+    """
     if not is_reflexive(e):
         raise PreconditionError("E must be reflexive")
     if not is_compatible(a, e):
         raise PreconditionError("E must be compatible")
     ee_op = compose(e, opposite(e))
     op_ee = compose(opposite(e), e)
-    record = {
+    return {
         "ee_op_is_equivalence": is_equivalence(ee_op),
         "ee_op_equals_op_ee": ee_op == op_ee,
+        "reflexive_positive_all_equivalence": (
+            reflexive_positive_all_equivalence(a, budget) if sweep is None else sweep
+        ),
     }
-    try:
-        pos = enumerate_class_relations(a, RelationClass.REFLEXIVE_POSITIVE, budget)
-        record["reflexive_positive_all_equivalence"] = all(
-            is_equivalence(p) for p in pos
-        )
-    except BudgetError as err:
-        record["reflexive_positive_all_equivalence"] = f"inconclusive: {err}"
-    return record

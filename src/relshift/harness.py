@@ -36,6 +36,7 @@ from .checks import (
     enumerate_class_relations,
     goursat_identity_all,
     permutability,
+    reflexive_positive_all_equivalence,
     shifting_lemma,
     shifting_lemma_forall,
 )
@@ -55,7 +56,7 @@ from .relations import (
     meet,
     opposite,
 )
-from .terms import find_3perm_terms, find_maltsev_term
+from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -158,8 +159,9 @@ def _witness_record(a: Algebra, kind: str, e: Relation) -> dict:
 def _algebra_record(a: Algebra, budget: int | None) -> dict:
     rec: dict = {"size": a.size}
 
-    maltsev = find_maltsev_term(a)
-    threeperm = find_3perm_terms(a)
+    clone = generate_ternary_clone(a)
+    maltsev = _maltsev_term(clone, a.size)
+    threeperm = _3perm_terms(clone, a.size)
     rec["terms"] = {
         "maltsev": {
             "status": maltsev.status,
@@ -203,13 +205,12 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
         rec["ee_properties"] = f"inconclusive: {err}"
         refl = []
     else:
-        ee_all = [ee_properties(a, e, budget) for e in refl]
+        sweep = reflexive_positive_all_equivalence(a, budget)
+        ee_all = [ee_properties(a, e, budget, sweep) for e in refl]
         rec["ee_properties"] = {
             "all_ee_op_equivalence": all(r["ee_op_is_equivalence"] for r in ee_all),
             "all_ee_op_equals_op_ee": all(r["ee_op_equals_op_ee"] for r in ee_all),
-            "reflexive_positive_all_equivalence": (
-                ee_all[0]["reflexive_positive_all_equivalence"] if ee_all else True
-            ),
+            "reflexive_positive_all_equivalence": sweep,
         }
 
     # witness constructions where the predicates fail

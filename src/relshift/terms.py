@@ -163,18 +163,26 @@ def _identities(clone: CloneResult, n: int) -> tuple[np.ndarray, ...]:
 
 def find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone element p with p(x,y,y) = x and p(x,x,y) = y."""
-    clone = generate_ternary_clone(a, budget)
-    _, _, left_ok, right_ok = _identities(clone, a.size)
+    return _maltsev_term(generate_ternary_clone(a, budget), a.size)
+
+
+def find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchResult:
+    """Least clone pair (r, s) with r(x,y,y)=x, r(x,x,y)=s(x,y,y), s(x,x,y)=y."""
+    return _3perm_terms(generate_ternary_clone(a, budget), a.size)
+
+
+def _maltsev_term(clone: CloneResult, n: int) -> TermSearchResult:
+    """``find_maltsev_term`` over a clone already generated on n elements."""
+    _, _, left_ok, right_ok = _identities(clone, n)
     hits = np.flatnonzero(left_ok & right_ok)
     if len(hits):
         return TermSearchResult("found", (clone.functions[hits[0]],))
     return TermSearchResult("not_found" if clone.complete else "inconclusive")
 
 
-def find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchResult:
-    """Least clone pair (r, s) with r(x,y,y)=x, r(x,x,y)=s(x,y,y), s(x,x,y)=y."""
-    clone = generate_ternary_clone(a, budget)
-    xyy, xxy, left_ok, right_ok = _identities(clone, a.size)
+def _3perm_terms(clone: CloneResult, n: int) -> TermSearchResult:
+    """``find_3perm_terms`` over a clone already generated on n elements."""
+    xyy, xxy, left_ok, right_ok = _identities(clone, n)
     least_s: dict[bytes, int] = {}  # s(x,y,y) -> least s with s(x,x,y) = y
     for i in np.flatnonzero(right_ok):
         least_s.setdefault(xyy[i].tobytes(), i)

@@ -1,10 +1,12 @@
 """Shifting-Lemma decision procedures and characterization scans."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from relshift import checks
 from relshift.algebras import Algebra, Signature, all_congruences
 from relshift.checks import (
     BudgetError,
@@ -16,6 +18,7 @@ from relshift.checks import (
     enumerate_compatible_relations,
     goursat_identity_all,
     permutability,
+    reflexive_positive_all_equivalence,
     shifting_lemma,
     shifting_lemma_forall,
     shifting_principle_reduction,
@@ -211,10 +214,37 @@ class TestEnumeration:
             reflexive_compatible_relations(a)
         )
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         big = Algebra("set5", Carrier(5), Signature(()), {})
         with pytest.raises(BudgetError):
             enumerate_class_relations(big, RelationClass.REFLEXIVE, budget=16)
+        # the default budget refuses Z16 before any closure runs
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        z16 = cyclic_group(16)
+        for cls, k in ((RelationClass.REFLEXIVE, 240), (RelationClass.ARBITRARY, 256)):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetError) as err:
+                enumerate_class_relations(z16, cls)
+            assert time.perf_counter() - t0 < 1.0
+            assert str(err.value) == f"2^{k} candidate relations exceed budget 65536"
+
+    def test_incompatible_result_raises(self, monkeypatch):
+        # the final check of every kept relation is not an assert
+        monkeypatch.setattr(checks, "_is_compatible_between", lambda a, b, r: False)
+        with pytest.raises(RuntimeError, match="incompatible relation"):
+            enumerate_compatible_relations(cyclic_group(2))
+
+    def test_each_class_enumerated_once_per_forall(self, monkeypatch):
+        seen = []
+
+        def counting(a, cls, budget=None):
+            seen.append(cls)
+            return enumerate_class_relations(a, cls, budget)
+
+        monkeypatch.setattr(checks, "enumerate_class_relations", counting)
+        refl, eq = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE
+        shifting_lemma_forall(semilattice2(), refl, eq, refl)
+        assert seen == [refl, eq]
 
     def test_arbitrary_includes_empty(self):
         free2 = Algebra("set2", Carrier(2), Signature(()), {})
@@ -288,6 +318,14 @@ class TestCharacterizationScans:
         # both symmetrizations are the full relation here
         assert rec["ee_op_is_equivalence"]
         assert rec["ee_op_equals_op_ee"]
+
+    def test_ee_properties_reuses_given_sweep(self, monkeypatch):
+        a = semilattice2()
+        sweep = reflexive_positive_all_equivalence(a)
+        assert ee_properties(a, order2(a))["reflexive_positive_all_equivalence"] == sweep
+        monkeypatch.setattr(checks, "enumerate_class_relations", None)  # not called again
+        rec = ee_properties(a, order2(a), sweep=sweep)
+        assert rec["reflexive_positive_all_equivalence"] == sweep
 
 
 class TestTermImplications:

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from relshift import harness
 from relshift.algebras import algebra_from_json, algebra_to_json, all_congruences
 from relshift.checks import RelationClass, enumerate_class_relations, shifting_lemma
 from relshift.harness import (
@@ -156,6 +157,21 @@ class TestSuite:
     def test_determinism(self, report):
         again = run_suite(bundled_corpus(), seed=7)
         assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+    def test_record_builds_clone_and_sweep_once(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("generate_ternary_clone", "reflexive_positive_all_equivalence"):
+            monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+        z3 = bundled_corpus()["z3"]
+        assert "error" not in run_suite({"z3": z3})["algebras"]["z3"]
+        assert calls == ["generate_ternary_clone", "reflexive_positive_all_equivalence"]
 
     def test_per_algebra_failure_recorded_not_fatal(self):
         corpus = dict(bundled_corpus())

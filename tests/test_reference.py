@@ -7,15 +7,19 @@ enumeration loop per relation class, the double loops that built the
 R and T relations of the pair object, and the clone generation that kept
 each table as a tuple of ints and visited every argument tuple one at a
 time, with the term searches that scanned the clone function by function.
-They stay here as oracles for the shared kernel, the single bitmask loop,
-the vectorized builders and the block-wise clone in ``relshift``, checked
-on random algebras with 1-3 elements and operations of arity 0-3, and on
-random reflexive relations.
+The single bitmask loop that replaced those loops is kept as well, and
+checks the closure enumeration on 4-element carriers, where the random
+algebras do not reach.  They stay here as oracles for the shared kernel,
+the closure enumeration, the vectorized builders and the block-wise clone
+in ``relshift``, checked on random algebras with 1-3 elements and
+operations of arity 0-3, on pinned bundled algebras, and on random
+reflexive relations.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +32,15 @@ from relshift.algebras import (
     compatible_close,
 )
 from relshift.checks import (
+    DEFAULT_ENUM_BUDGET,
+    BudgetError,
     RelationClass,
     enumerate_class_relations,
     enumerate_compatible_relations,
     resolve_budget,
 )
 from relshift.constructions import build_R, build_T
+from relshift.harness import bundled_corpus
 from relshift.relations import Carrier, Relation, is_positive, is_reflexive
 from relshift.terms import (
     DEFAULT_CLONE_BUDGET,
@@ -122,6 +129,25 @@ def ref_enumerate_reflexive(a, cls):
         if cls is RelationClass.REFLEXIVE_POSITIVE and not is_positive(rel):
             continue
         out.append(rel)
+    return sorted(out, key=lambda r: r.pairs())
+
+
+def ref_brute_force(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
+    """Compatible relations A -> B containing ``base``, lexicographic: one
+    candidate per subset of the positions outside ``base``."""
+    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+    rows, cols = np.nonzero(~base)
+    k = len(rows)
+    if 2**k > budget:
+        raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
+    shifts = np.arange(k)
+    out = []
+    for bits in range(2**k):
+        m = base.copy()
+        m[rows, cols] = (bits >> shifts) & 1
+        rel = Relation(a.carrier, b.carrier, m)
+        if _is_compatible_between(a, b, rel):
+            out.append(rel)
     return sorted(out, key=lambda r: r.pairs())
 
 
@@ -341,6 +367,32 @@ def test_reflexive_enumeration_matches_naive_filter(a):
         assert got == naive_filter(
             a, a, lambda r: is_reflexive(r) and ref_is_compatible_between(a, a, r) and extra(r)
         )
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return bundled_corpus()
+
+
+@pytest.mark.parametrize("name", ["z4", "n5_unary"])
+@pytest.mark.parametrize("cls", [
+    RelationClass.ARBITRARY, RelationClass.REFLEXIVE, RelationClass.REFLEXIVE_POSITIVE
+])
+def test_class_enumeration_matches_brute_force_on_four_elements(corpus, name, cls):
+    a = corpus[name]
+    n = a.size
+    base = np.zeros((n, n), dtype=bool) if cls is RelationClass.ARBITRARY else np.eye(n, dtype=bool)
+    want = ref_brute_force(a, a, base, None)
+    if cls is RelationClass.REFLEXIVE_POSITIVE:
+        want = [r for r in want if is_positive(r)]
+    assert enumerate_class_relations(a, cls) == want
+
+
+@pytest.mark.parametrize("names", [("z2", "z4"), ("z4", "z2")])
+def test_enumeration_between_sizes_matches_brute_force(corpus, names):
+    a, b = (corpus[n] for n in names)
+    want = ref_brute_force(a, b, np.zeros((a.size, b.size), dtype=bool), None)
+    assert enumerate_compatible_relations(a, b) == want
 
 
 @settings(max_examples=60, deadline=None)
