@@ -8,10 +8,9 @@ are the compatible equivalence relations.
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from .relations import (
     Carrier,
     Relation,
     ShapeError,
-    diagonal,
-    is_equivalence,
     is_reflexive,
     leq,
     meet,
@@ -187,20 +184,69 @@ def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, in
     return Relation(a.carrier, a.carrier, _close_between(a, a, m))
 
 
+def _translation_rows(a: Algebra) -> list[list[list[int]]]:
+    """The basic translations of A, one list per operation of arity >= 1 and
+    argument position i: row u lists f with u at position i, for every choice
+    of the other arguments in row-major order."""
+    n = a.size
+    return [
+        np.moveaxis(f, i, 0).reshape(n, -1).tolist()
+        for f in (a.table_array(op) for op, _ in a.sig.ops)
+        for i in range(f.ndim)
+    ]
+
+
+def _union_find(
+    labels: list[int], pairs: Iterable[tuple[int, int]], rows: list[list[list[int]]]
+) -> tuple[int, ...]:
+    """Union-find: the least equivalence that contains the partition
+    ``labels`` and ``pairs`` and is closed under the translations ``rows``,
+    given a partition ``labels`` that is closed under them already.
+
+    ``labels`` maps each element to the least element of its block and is
+    updated in place.  Every pair whose union merges two blocks is pushed,
+    and its images under every translation are merged in turn; a translation
+    maps a chain of pushed pairs to a chain, so these pushed pairs suffice.
+    The result is canonical: each element labelled by its block's least
+    element.
+    """
+
+    def find(u: int) -> int:
+        while labels[u] != u:
+            labels[u] = u = labels[labels[u]]
+        return u
+
+    def merge(u: int, v: int) -> bool:
+        u, v = find(u), find(v)
+        if u == v:
+            return False
+        labels[max(u, v)] = min(u, v)
+        return True
+
+    todo = [(u, v) for u, v in pairs if merge(u, v)]
+    while todo:
+        u, v = todo.pop()
+        for row in rows:
+            for fu, fv in zip(row[u], row[v]):
+                if merge(fu, fv):
+                    todo.append((fu, fv))
+    return tuple(map(find, range(len(labels))))
+
+
+def _congruence(a: Algebra, labels: tuple[int, ...]) -> Relation:
+    """The equivalence whose blocks share a label."""
+    v = np.array(labels)
+    return Relation(a.carrier, a.carrier, v[:, None] == v[None, :])
+
+
 def principal_congruence(a: Algebra, x: int, y: int) -> Relation:
-    """Least congruence identifying x and y."""
+    """Least congruence identifying x and y: the blocks of x and y are merged
+    by union-find, then the images of every merged pair under every basic
+    translation, until no union merges two blocks."""
     n = a.size
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"elements ({x}, {y}) out of range for size {n}")
-    rel = Relation.from_pairs(a.carrier, a.carrier, [(x, y)])
-    rel = union(rel, diagonal(a.carrier))
-    while True:
-        closed = compatible_close(a, rel.pairs())
-        closed = Relation(a.carrier, a.carrier, closed.members | closed.members.T)
-        closed = transitive_closure(closed)
-        if closed == rel:
-            return rel
-        rel = closed
+    return _congruence(a, _union_find(list(range(n)), [(x, y)], _translation_rows(a)))
 
 
 def congruence_join(r: Relation, s: Relation) -> Relation:
@@ -211,23 +257,31 @@ def congruence_join(r: Relation, s: Relation) -> Relation:
 def all_congruences(a: Algebra) -> list[Relation]:
     """Every congruence of A, as the join closure of the principal ones.
 
+    The principal congruences come from one union-find each over the basic
+    translations, which are built once per call.  Each congruence found is
+    joined with every principal congruence (the join of two congruences is
+    the join of their partitions) until no new one appears; every congruence
+    is a finite join of principal ones, so this reaches all of them.
+
     Returned in a deterministic order: sorted by pair list.
     """
-    found = {diagonal(a.carrier)}
-    for x in range(a.size):
-        for y in range(x + 1, a.size):
-            found.add(principal_congruence(a, x, y))
-    while True:
-        new = set()
-        items = list(found)
-        for r, s in itertools.combinations(items, 2):
-            j = congruence_join(r, s)
-            if j not in found:
-                new.add(j)
-        if not new:
-            break
-        found |= new
-    return sorted(found, key=lambda r: r.pairs())
+    n = a.size
+    rows = _translation_rows(a)
+    principals = list(dict.fromkeys(
+        _union_find(list(range(n)), [(x, y)], rows) for x in range(n) for y in range(x + 1, n)
+    ))
+    found = {tuple(range(n)), *principals}
+    frontier = principals
+    while frontier:
+        new = []
+        for c in frontier:
+            for p in principals:
+                j = _union_find(list(c), enumerate(p), [])
+                if j not in found:
+                    found.add(j)
+                    new.append(j)
+        frontier = new
+    return sorted((_congruence(a, c) for c in found), key=lambda r: r.pairs())
 
 
 def congruence_lattice_is_modular(a: Algebra) -> bool:

@@ -5,7 +5,7 @@ stderr.  Exit codes are a stable contract:
 
   0  property holds / object found / suite completed
   1  property violated / no witness / term not found
-  2  usage or parse error
+  2  usage or parse error / a suite record failed
   3  inconclusive (enumeration or clone budget exceeded)
 
 RELSHIFT_BUDGET overrides the default clone/enumeration budgets; a value
@@ -270,6 +270,9 @@ def suite(corpus_path, out_path, seed) -> None:
     report = run_suite(corpus, seed=seed, corpus_id=corpus_id)
     text = json.dumps(report, indent=2, sort_keys=True)
     pathlib.Path(out_path).write_text(text + "\n")
+    failed = [name for name, rec in report["algebras"].items() if "error" in rec]
+    if failed:
+        _fail(f"suite records failed for {', '.join(failed)} (report written to {out_path})")
     print(json.dumps({"report": out_path, "algebras": sorted(corpus)}))
     sys.exit(EXIT_HOLDS)
 

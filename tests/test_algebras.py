@@ -220,6 +220,11 @@ class TestCongruences:
                 assert is_compatible(a, j)
                 assert is_equivalence(j)
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_cyclic_group_has_one_congruence_per_divisor(self, n):
+        cons = all_congruences(cyclic_group(n))
+        assert len(cons) == sum(1 for d in range(1, n + 1) if n % d == 0)
+
     def test_output_order_is_deterministic(self):
         z4 = cyclic_group(4)
         first = [c.pairs() for c in all_congruences(z4)]

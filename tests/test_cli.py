@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from relshift import harness
 from relshift.algebras import Algebra, Signature, algebra_to_json
 from relshift.cli import main
 from relshift.harness import bundled_corpus
@@ -327,6 +328,23 @@ class TestSuiteCommand:
         report = json.loads(out1.read_text())
         assert report["schema"] == "relshift-report/1"
         assert set(report["algebras"]) == {"z2", "semilattice2"}
+
+    def test_failed_record_exits_2(self, runner, tmp_path, monkeypatch):
+        real = harness._algebra_record
+
+        def record(a, budget):
+            if a.name == "z3":
+                raise RuntimeError("boom")
+            return real(a, budget)
+
+        monkeypatch.setattr(harness, "_algebra_record", record)
+        out = tmp_path / "r.json"
+        code, doc = run(runner, ["suite", "--out", str(out), "--seed", "7"])
+        assert code == 2
+        assert "z3" in doc["error"] and "z2" not in doc["error"]
+        algebras = json.loads(out.read_text())["algebras"]
+        assert algebras["z3"] == {"error": "RuntimeError: boom"}
+        assert "error" not in algebras["z2"]
 
 
 class TestValidate:

@@ -1,19 +1,22 @@
-"""The compatibility kernel, the brute-force enumerators and the clone
-generation against reference code.
+"""The compatibility kernel, the brute-force enumerators, the clone
+generation and the congruence layer against reference code.
 
 The reference functions below are the earlier hand-written forms: one
 branch per arity for applying an operation coordinatewise, one
 enumeration loop per relation class, the double loops that built the
-R and T relations of the pair object, and the clone generation that kept
+R and T relations of the pair object, the clone generation that kept
 each table as a tuple of ints and visited every argument tuple one at a
-time, with the term searches that scanned the clone function by function.
-The single bitmask loop that replaced those loops is kept as well, and
-checks the closure enumeration on 4-element carriers, where the random
-algebras do not reach.  They stay here as oracles for the shared kernel,
-the closure enumeration, the vectorized builders and the block-wise clone
-in ``relshift``, checked on random algebras with 1-3 elements and
-operations of arity 0-3, on pinned bundled algebras, and on random
-reflexive relations.
+time, with the term searches that scanned the clone function by function,
+and the congruence lattice that re-closed each principal congruence under
+the operations, symmetry and transitivity until it stopped changing, then
+joined every two congruences found in each round.  The single bitmask
+loop that replaced the enumeration loops is kept as well, and checks the
+closure enumeration on 4-element carriers, where the random algebras do
+not reach.  They stay here as oracles for the shared kernel, the closure
+enumeration, the vectorized builders, the block-wise clone and the
+union-find congruences in ``relshift``, checked on random algebras with
+1-3 elements and operations of arity 0-3, on pinned bundled, cyclic and
+seeded unary algebras, and on random reflexive relations.
 """
 
 import itertools
@@ -28,8 +31,11 @@ from relshift.algebras import (
     Algebra,
     Signature,
     _is_compatible_between,
+    all_congruences,
     as_paired_object,
     compatible_close,
+    congruence_join,
+    principal_congruence,
 )
 from relshift.checks import (
     DEFAULT_ENUM_BUDGET,
@@ -41,7 +47,15 @@ from relshift.checks import (
 )
 from relshift.constructions import build_R, build_T
 from relshift.harness import bundled_corpus
-from relshift.relations import Carrier, Relation, is_positive, is_reflexive
+from relshift.relations import (
+    Carrier,
+    Relation,
+    diagonal,
+    is_positive,
+    is_reflexive,
+    transitive_closure,
+    union,
+)
 from relshift.terms import (
     DEFAULT_CLONE_BUDGET,
     CloneResult,
@@ -52,6 +66,8 @@ from relshift.terms import (
     find_maltsev_term,
     generate_ternary_clone,
 )
+
+from test_algebras import cyclic_group
 
 
 def ref_is_compatible_between(a, b, r):
@@ -292,6 +308,44 @@ def ref_find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchRes
     return TermSearchResult("not_found" if clone.complete else "inconclusive")
 
 
+def ref_principal_congruence(a: Algebra, x: int, y: int) -> Relation:
+    """Least congruence identifying x and y."""
+    n = a.size
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"elements ({x}, {y}) out of range for size {n}")
+    rel = Relation.from_pairs(a.carrier, a.carrier, [(x, y)])
+    rel = union(rel, diagonal(a.carrier))
+    while True:
+        closed = compatible_close(a, rel.pairs())
+        closed = Relation(a.carrier, a.carrier, closed.members | closed.members.T)
+        closed = transitive_closure(closed)
+        if closed == rel:
+            return rel
+        rel = closed
+
+
+def ref_all_congruences(a: Algebra) -> list[Relation]:
+    """Every congruence of A, as the join closure of the principal ones.
+
+    Returned in a deterministic order: sorted by pair list.
+    """
+    found = {diagonal(a.carrier)}
+    for x in range(a.size):
+        for y in range(x + 1, a.size):
+            found.add(ref_principal_congruence(a, x, y))
+    while True:
+        new = set()
+        items = list(found)
+        for r, s in itertools.combinations(items, 2):
+            j = congruence_join(r, s)
+            if j not in found:
+                new.add(j)
+        if not new:
+            break
+        found |= new
+    return sorted(found, key=lambda r: r.pairs())
+
+
 def naive_filter(a, b, keep):
     """Every relation A -> B for which keep(rel) holds, lexicographic."""
     cells = list(itertools.product(range(a.size), range(b.size)))
@@ -393,6 +447,37 @@ def test_enumeration_between_sizes_matches_brute_force(corpus, names):
     a, b = (corpus[n] for n in names)
     want = ref_brute_force(a, b, np.zeros((a.size, b.size), dtype=bool), None)
     assert enumerate_compatible_relations(a, b) == want
+
+
+def assert_congruences_match_reference(a):
+    assert all_congruences(a) == ref_all_congruences(a)
+    for x in range(a.size):
+        for y in range(a.size):
+            assert principal_congruence(a, x, y) == ref_principal_congruence(a, x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signatures().flatmap(algebras))
+def test_congruences_match_reference(a):
+    assert_congruences_match_reference(a)
+
+
+def unary_algebra(n, k, seed):
+    rng = np.random.default_rng(seed)
+    sig = Signature(tuple((f"f{i}", 1) for i in range(k)))
+    tables = {op: tuple(rng.integers(0, n, n).tolist()) for op, _ in sig.ops}
+    return Algebra(f"u{n}_{k}", Carrier(n), sig, tables)
+
+
+@pytest.mark.parametrize("make", [
+    lambda corpus: corpus["n5_unary"],
+    lambda corpus: cyclic_group(6),
+    lambda corpus: cyclic_group(12),
+    lambda corpus: unary_algebra(8, 2, seed=3),
+    lambda corpus: unary_algebra(13, 2, seed=13),
+], ids=["n5_unary", "z6", "z12", "unary8", "unary13"])
+def test_congruences_match_reference_on_larger_algebras(corpus, make):
+    assert_congruences_match_reference(make(corpus))
 
 
 @settings(max_examples=60, deadline=None)
