@@ -365,7 +365,8 @@ def algebra_from_json(text: str) -> Algebra:
         if key not in doc:
             raise AlgebraParseError(f"missing key {key!r}")
     n = doc["size"]
-    if not (isinstance(n, int) and n >= 1):
+    # type(...) is int, not isinstance: JSON true and false load as bools, an int subclass
+    if not (type(n) is int and n >= 1):
         raise AlgebraParseError("size must be a positive integer")
     ops: list[tuple[str, int]] = []
     tables: dict[str, tuple[int, ...]] = {}
@@ -373,7 +374,7 @@ def algebra_from_json(text: str) -> Algebra:
         if not isinstance(spec, dict) or not {"name", "arity", "table"} <= set(spec):
             raise AlgebraParseError(f"malformed operation entry: {spec!r}")
         opname, arity, table = spec["name"], spec["arity"], spec["table"]
-        if not (isinstance(arity, int) and 0 <= arity <= MAX_ARITY):
+        if not (type(arity) is int and 0 <= arity <= MAX_ARITY):
             raise AlgebraParseError(f"operation {opname!r}: bad arity {arity!r}")
         if not isinstance(table, list) or len(table) != n**arity:
             raise AlgebraParseError(
@@ -381,7 +382,7 @@ def algebra_from_json(text: str) -> Algebra:
                 f"{len(table) if isinstance(table, list) else '?'}, expected {n**arity}"
             )
         for i, v in enumerate(table):
-            if not (isinstance(v, int) and 0 <= v < n):
+            if not (type(v) is int and 0 <= v < n):
                 raise AlgebraParseError(
                     f"operation {opname!r}: table entry #{i} = {v!r} out of range"
                 )

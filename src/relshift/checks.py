@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -136,22 +137,21 @@ def shifting_lemma(r: Relation, s: Relation, t: Relation) -> SLResult:
     """Exhaustive check of the shifting implication for one triple.
 
     Premises over (x, y, u, v): (x, y) in R ^ T, (x, u) in S, (y, v) in S,
-    (u, v) in R; conclusion (u, v) in T.  Requires R ^ S <= T.
+    (u, v) in R; conclusion (u, v) in T.  Requires R ^ S <= T.  With
+    gap = R ^ not-T, the implication holds iff R ^ T ^ S-op gap S is empty;
+    a violation reports the lexicographically least quadruple.
     """
     _common_carrier(r, s, t)
     if not leq(meet(r, s), t):
         raise PreconditionError("R ^ S <= T fails")
-    rt = r.members & t.members
-    premises = (
-        rt[:, :, None, None]
-        & s.members[:, None, :, None]
-        & s.members[None, :, None, :]
-        & r.members[None, None, :, :]
-    )
-    bad = premises & ~t.members[None, None, :, :]
-    if not bad.any():
+    sm = s.members
+    gap = r.members & ~t.members
+    hits = r.members & t.members & (sm @ gap @ sm.T)
+    if not hits.any():
         return SLResult("holds")
-    x, y, u, v = (int(i) for i in np.argwhere(bad)[0])
+    x, y = (int(i) for i in np.argwhere(hits)[0])
+    u = int(np.argmax(sm[x] & (gap @ sm[y])))
+    v = int(np.argmax(sm[y] & gap[u]))
     return SLResult("violated", quadruple=(x, y, u, v))
 
 
@@ -240,7 +240,7 @@ def enumerate_class_relations(
 ) -> list[Relation]:
     """All compatible relations on A in the given class, lexicographic."""
     if cls is RelationClass.EQUIVALENCE:
-        return sorted(all_congruences(a), key=lambda r: r.pairs())
+        return all_congruences(a)
     if cls is RelationClass.ARBITRARY:
         return enumerate_compatible_relations(a, a, budget)
     # reflexive cases: free choice only on the off-diagonal positions
@@ -295,33 +295,42 @@ def permutability(r: Relation, s: Relation) -> dict:
     return {"level": level, "RS": rs, "SR": sr, "RSR": rsr, "SRS": srs}
 
 
-def difunctional_all(
-    a: Algebra, b: Algebra | None = None, budget: int | None = None
+def _every_compatible(
+    a: Algebra,
+    b: Algebra | None,
+    budget: int | None,
+    holds: Callable[[Relation], bool],
+    reason: str,
 ) -> SLResult:
-    """Whether every compatible relation D: A -> B satisfies D D-op D = D."""
+    """Whether ``holds(D)`` for every compatible D: A -> B; the first D that
+    fails is reported as the triple (D, D, D) with ``reason``."""
     try:
         rels = enumerate_compatible_relations(a, b, budget)
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
     for d in rels:
-        if not is_difunctional(d):
-            return SLResult("violated", triple=(d, d, d), reason="not difunctional")
+        if not holds(d):
+            return SLResult("violated", triple=(d, d, d), reason=reason)
     return SLResult("holds")
+
+
+def _goursat_identity(d: Relation) -> bool:
+    dd = compose(d, opposite(d))
+    return compose(dd, dd) == dd
+
+
+def difunctional_all(
+    a: Algebra, b: Algebra | None = None, budget: int | None = None
+) -> SLResult:
+    """Whether every compatible relation D: A -> B satisfies D D-op D = D."""
+    return _every_compatible(a, b, budget, is_difunctional, "not difunctional")
 
 
 def goursat_identity_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible D: A -> B satisfies (D D-op)(D D-op) = D D-op."""
-    try:
-        rels = enumerate_compatible_relations(a, b, budget)
-    except BudgetError as e:
-        return SLResult("inconclusive", reason=str(e))
-    for d in rels:
-        dd = compose(d, opposite(d))
-        if compose(dd, dd) != dd:
-            return SLResult("violated", triple=(d, d, d), reason="identity fails")
-    return SLResult("holds")
+    return _every_compatible(a, b, budget, _goursat_identity, "identity fails")
 
 
 def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:

@@ -16,17 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import Algebra, PairedObject, as_paired_object, is_compatible
-from .relations import (
-    Relation,
-    compose,
-    is_equivalence,
-    is_reflexive,
-    is_symmetric,
-    leq,
-    opposite,
-    transitive_closure,
-    union,
-)
+from .relations import Relation, compose, is_equivalence, is_reflexive, opposite
 
 __all__ = [
     "SLInstance",

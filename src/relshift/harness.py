@@ -45,17 +45,10 @@ from .constructions import (
     build_box,
     build_W,
     goursat_sl_witness,
-    join_via_RSR,
     kernel_pair,
     maltsev_sl_witness,
 )
-from .relations import (
-    Relation,
-    compose,
-    is_symmetric,
-    meet,
-    opposite,
-)
+from .relations import Relation, compose, is_symmetric, meet
 from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
@@ -72,23 +65,13 @@ __all__ = [
 
 SCHEMA = "relshift-report/1"
 
-# Class combinations exercised per algebra, keyed by the theorem layout
-# they correspond to.
-SUITE_CLASS_COMBOS: tuple[tuple[str, tuple[RelationClass, ...]], ...] = (
-    ("eq,eq,eq", (RelationClass.EQUIVALENCE,) * 3),
-    ("refl,refl,refl", (RelationClass.REFLEXIVE,) * 3),
-    (
-        "refl,eq,refl",
-        (RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE, RelationClass.REFLEXIVE),
-    ),
-    (
-        "reflpos,refl,reflpos",
-        (
-            RelationClass.REFLEXIVE_POSITIVE,
-            RelationClass.REFLEXIVE,
-            RelationClass.REFLEXIVE_POSITIVE,
-        ),
-    ),
+# Class combinations exercised per algebra, in the theorem layouts they
+# correspond to; each label is parsed with RelationClass.parse.
+SUITE_CLASS_COMBOS: tuple[str, ...] = (
+    "eq,eq,eq",
+    "refl,refl,refl",
+    "refl,eq,refl",
+    "reflpos,refl,reflpos",
 )
 
 
@@ -100,9 +83,10 @@ def load_corpus(directory: Traversable) -> dict[str, Algebra]:
     """Every ``*.json`` algebra file in ``directory``, keyed by algebra name.
 
     ``directory`` is a path or a package resource directory.  A malformed
-    file raises AlgebraParseError naming the file.
+    file, or a second file declaring a name already loaded, raises
+    AlgebraParseError naming the file(s).
     """
-    corpus = {}
+    corpus, source = {}, {}
     for f in sorted(directory.iterdir(), key=lambda f: f.name):
         if not f.name.endswith(".json"):
             continue
@@ -110,7 +94,11 @@ def load_corpus(directory: Traversable) -> dict[str, Algebra]:
             alg = algebra_from_json(f.read_text())
         except AlgebraParseError as e:
             raise AlgebraParseError(f"{f}: {e}") from e
-        corpus[alg.name] = alg
+        if alg.name in corpus:
+            raise AlgebraParseError(
+                f"algebra {alg.name!r} is declared by both {source[alg.name]} and {f}"
+            )
+        corpus[alg.name], source[alg.name] = alg, f
     return corpus
 
 
@@ -175,8 +163,9 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     }
 
     rec["shifting_lemma"] = {}
-    for label, (cr, cs, ct) in SUITE_CLASS_COMBOS:
-        res = shifting_lemma_forall(a, cr, cs, ct, budget)
+    for label in SUITE_CLASS_COMBOS:
+        classes = (RelationClass.parse(c) for c in label.split(","))
+        res = shifting_lemma_forall(a, *classes, budget)
         rec["shifting_lemma"][label] = res.to_dict()
 
     rec["difunctional_all"] = difunctional_all(a, budget=budget).to_dict()
@@ -186,24 +175,21 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     cons = all_congruences(a)
     rec["congruence_count"] = len(cons)
     perm_table = []
-    for i, j in itertools.combinations(range(len(cons)), 2):
-        verdict = permutability(cons[i], cons[j])
+    join_ok = True
+    for (i, r), (j, s) in itertools.combinations(enumerate(cons), 2):
+        verdict = permutability(r, s)
         perm_table.append({"i": i, "j": j, "level": verdict["level"]})
+        # Remark-style join check: RSR and SRS against the closure join
+        join = congruence_join(r, s)
+        join_ok &= verdict["RSR"] == join and verdict["SRS"] == join
     rec["permutability"] = perm_table
-
-    # Remark-style join check: RSR vs SRS vs transitive closure of the union
-    join_ok = all(
-        join_via_RSR(r, s) == congruence_join(r, s)
-        and join_via_RSR(s, r) == congruence_join(r, s)
-        for r, s in itertools.combinations(cons, 2)
-    )
     rec["join_via_rsr_matches"] = join_ok
 
     try:
         refl = enumerate_class_relations(a, RelationClass.REFLEXIVE, budget)
     except BudgetError as err:
         rec["ee_properties"] = f"inconclusive: {err}"
-        refl = []
+        refl, ee_all = [], []
     else:
         sweep = reflexive_positive_all_equivalence(a, budget)
         ee_all = [ee_properties(a, e, budget, sweep) for e in refl]
@@ -218,14 +204,7 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     non_sym = next((e for e in refl if not is_symmetric(e)), None)
     if non_sym is not None:
         rec["witnesses"]["maltsev"] = _witness_record(a, "maltsev", non_sym)
-    gap = next(
-        (
-            e
-            for e in refl
-            if compose(e, opposite(e)) != compose(opposite(e), e)
-        ),
-        None,
-    )
+    gap = next((e for e, p in zip(refl, ee_all) if not p["ee_op_equals_op_ee"]), None)
     if gap is not None:
         rec["witnesses"]["goursat"] = _witness_record(a, "goursat", gap)
 

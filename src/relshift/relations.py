@@ -290,7 +290,8 @@ def relation_from_json(text: str) -> Relation:
         if key not in doc:
             raise RelationParseError(f"missing key {key!r}")
     n, m = doc["dom"], doc["cod"]
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
+    # type(...) is int, not isinstance: JSON true and false load as bools, an int subclass
+    if not (type(n) is int and type(m) is int and n >= 1 and m >= 1):
         raise RelationParseError("dom and cod must be positive integers")
     if not isinstance(doc["pairs"], list):
         raise RelationParseError("pairs must be a list")
@@ -299,7 +300,7 @@ def relation_from_json(text: str) -> Relation:
         if (
             not isinstance(pair, Sequence)
             or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)
+            or not all(type(v) is int for v in pair)
         ):
             raise RelationParseError(f"pair #{i} is not a pair of integers: {pair!r}")
         x, y = pair

@@ -308,6 +308,20 @@ class TestJson:
                 '{"name": "a", "size": 2, "operations": [{"name": "f", "arity": 1, "table": [0, 9]}]}',
                 "#1",
             ),
+            # JSON booleans are not integers
+            ('{"name": "a", "size": true, "operations": []}', "size"),
+            (
+                '{"name": "a", "size": 2, "operations": [{"name": "f", "arity": true, "table": [0, 1]}]}',
+                "arity",
+            ),
+            (
+                '{"name": "a", "size": 2, "operations": [{"name": "f", "arity": 1, "table": [0, true]}]}',
+                "#1",
+            ),
+            (
+                '{"name": "a", "size": 2, "operations": [{"name": "f", "arity": 1, "table": [false, 1]}]}',
+                "#0",
+            ),
         ],
     )
     def test_validation_names_offender(self, doc, fragment):

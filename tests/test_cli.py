@@ -329,6 +329,21 @@ class TestSuiteCommand:
         assert report["schema"] == "relshift-report/1"
         assert set(report["algebras"]) == {"z2", "semilattice2"}
 
+    def test_duplicate_algebra_name_exits_2(self, runner, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        bundled = bundled_corpus()
+        (corpus_dir / "z2.json").write_text(algebra_to_json(bundled["z2"]))
+        z3 = bundled["z3"]
+        renamed = Algebra("z2", z3.carrier, z3.sig, z3.tables)
+        (corpus_dir / "z3.json").write_text(algebra_to_json(renamed))
+        out = tmp_path / "r.json"
+        code, doc = run(runner, ["suite", "--corpus", str(corpus_dir), "--out", str(out)])
+        assert code == 2
+        assert "'z2'" in doc["error"]
+        assert "z2.json" in doc["error"] and "z3.json" in doc["error"]
+        assert not out.exists()
+
     def test_failed_record_exits_2(self, runner, tmp_path, monkeypatch):
         real = harness._algebra_record
 
@@ -360,5 +375,17 @@ class TestValidate:
         p = tmp_path / "bad.json"
         p.write_text('{"size": "nope"}')
         code, doc = run(runner, ["validate", "--file", str(p)])
+        assert code == 2
+        assert "error" in doc
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_boolean_entries_are_usage_errors(self, runner, files, tmp_path, command):
+        p = tmp_path / "bool.json"
+        p.write_text('{"dom": true, "cod": 2, "pairs": [[true, 1]]}')
+        args = {
+            "validate": ["validate", "--file", str(p)],
+            "check": ["check", "--algebra", files["z2"], "--property", "positive", "--R", str(p)],
+        }[command]
+        code, doc = run(runner, args)
         assert code == 2
         assert "error" in doc

@@ -9,14 +9,17 @@ each table as a tuple of ints and visited every argument tuple one at a
 time, with the term searches that scanned the clone function by function,
 and the congruence lattice that re-closed each principal congruence under
 the operations, symmetry and transitivity until it stopped changing, then
-joined every two congruences found in each round.  The single bitmask
+joined every two congruences found in each round, and the Shifting Lemma
+kernel that built the (n, n, n, n) tensor of premises.  The single bitmask
 loop that replaced the enumeration loops is kept as well, and checks the
 closure enumeration on 4-element carriers, where the random algebras do
 not reach.  They stay here as oracles for the shared kernel, the closure
 enumeration, the vectorized builders, the block-wise clone and the
-union-find congruences in ``relshift``, checked on random algebras with
-1-3 elements and operations of arity 0-3, on pinned bundled, cyclic and
-seeded unary algebras, and on random reflexive relations.
+union-find congruences and the relational Shifting Lemma check in
+``relshift``, checked on random algebras with 1-3 elements and operations
+of arity 0-3, on pinned bundled, cyclic and seeded unary algebras, on
+random reflexive relations and random relation triples, and on the
+witnesses built from a seeded unary algebra.
 """
 
 import itertools
@@ -40,12 +43,22 @@ from relshift.algebras import (
 from relshift.checks import (
     DEFAULT_ENUM_BUDGET,
     BudgetError,
+    PreconditionError,
     RelationClass,
+    SLResult,
+    _common_carrier,
     enumerate_class_relations,
     enumerate_compatible_relations,
     resolve_budget,
+    shifting_lemma,
 )
-from relshift.constructions import build_R, build_T
+from relshift.constructions import (
+    NoWitnessError,
+    build_R,
+    build_T,
+    goursat_sl_witness,
+    maltsev_sl_witness,
+)
 from relshift.harness import bundled_corpus
 from relshift.relations import (
     Carrier,
@@ -53,6 +66,9 @@ from relshift.relations import (
     diagonal,
     is_positive,
     is_reflexive,
+    is_symmetric,
+    leq,
+    meet,
     transitive_closure,
     union,
 )
@@ -357,6 +373,29 @@ def naive_filter(a, b, keep):
     return sorted(out, key=lambda r: r.pairs())
 
 
+def ref_shifting_lemma(r: Relation, s: Relation, t: Relation) -> SLResult:
+    """Exhaustive check of the shifting implication for one triple.
+
+    Premises over (x, y, u, v): (x, y) in R ^ T, (x, u) in S, (y, v) in S,
+    (u, v) in R; conclusion (u, v) in T.  Requires R ^ S <= T.
+    """
+    _common_carrier(r, s, t)
+    if not leq(meet(r, s), t):
+        raise PreconditionError("R ^ S <= T fails")
+    rt = r.members & t.members
+    premises = (
+        rt[:, :, None, None]
+        & s.members[:, None, :, None]
+        & s.members[None, :, None, :]
+        & r.members[None, None, :, :]
+    )
+    bad = premises & ~t.members[None, None, :, :]
+    if not bad.any():
+        return SLResult("holds")
+    x, y, u, v = (int(i) for i in np.argwhere(bad)[0])
+    return SLResult("violated", quadruple=(x, y, u, v))
+
+
 @st.composite
 def signatures(draw):
     arities = draw(st.lists(st.integers(0, MAX_ARITY), min_size=0, max_size=3))
@@ -525,3 +564,37 @@ def test_clone_and_term_searches_match_reference(case):
     assert got == want
     assert find_maltsev_term(a, budget) == want_p
     assert find_3perm_terms(a, budget) == want_rs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_shifting_lemma_matches_tensor_kernel(n, data):
+    a = Algebra("set", Carrier(n), Signature(()), {})
+    r, s, t = (relations(data.draw, a, a) for _ in range(3))
+    t = union(t, meet(r, s))  # widened so that R ^ S <= T
+    assert shifting_lemma(r, s, t) == ref_shifting_lemma(r, s, t)
+
+
+def test_shifting_lemma_matches_tensor_kernel_on_witnesses():
+    a = unary_algebra(8, 2, seed=3)
+    n = a.size
+    closures = {
+        compatible_close(a, [(i, i) for i in range(n)] + [(x, y)])
+        for x in range(n)
+        for y in range(n)
+    }
+    non_symmetric = [e for e in closures if not is_symmetric(e)]
+    assert len(non_symmetric) == 50
+    assert max(len(e) for e in non_symmetric) == 21
+    replayed = 0
+    for e in non_symmetric:
+        for build in (maltsev_sl_witness, goursat_sl_witness):
+            try:
+                w = build(a, e)
+            except NoWitnessError:
+                continue
+            got = shifting_lemma(w.R, w.S, w.T)
+            assert got == ref_shifting_lemma(w.R, w.S, w.T)
+            assert got.verdict == "violated"
+            replayed += 1
+    assert replayed >= len(non_symmetric)

@@ -334,6 +334,11 @@ class TestJsonRoundTrip:
             ('{"dom": 0, "cod": 2, "pairs": []}', "positive"),
             ('{"dom": 2, "cod": 2, "pairs": [[0, 5]]}', "pair #0"),
             ('{"dom": 2, "cod": 2, "pairs": [[0, 1], [1]]}', "pair #1"),
+            # JSON booleans are not integers
+            ('{"dom": true, "cod": 2, "pairs": []}', "positive"),
+            ('{"dom": 2, "cod": true, "pairs": []}', "positive"),
+            ('{"dom": 2, "cod": 2, "pairs": [[true, 1]]}', "pair #0"),
+            ('{"dom": 2, "cod": 2, "pairs": [[0, 1], [1, false]]}', "pair #1"),
         ],
     )
     def test_parse_errors(self, text, fragment):
