@@ -286,7 +286,11 @@ def all_congruences(a: Algebra) -> list[Relation]:
 
 def congruence_lattice_is_modular(a: Algebra) -> bool:
     """Modularity of Con(A): x <= z implies x v (y ^ z) = (x v y) ^ z."""
-    cons = all_congruences(a)
+    return _is_modular(all_congruences(a))
+
+
+def _is_modular(cons: list[Relation]) -> bool:
+    """Modularity of the congruence lattice whose members are ``cons``."""
     for x in cons:
         for z in cons:
             if not leq(x, z):

@@ -22,11 +22,11 @@ from . import __version__
 from .algebras import (
     Algebra,
     AlgebraParseError,
+    _is_modular,
     algebra_from_json,
     all_congruences,
     as_paired_object,
     congruence_join,
-    congruence_lattice_is_modular,
 )
 from .checks import (
     BudgetError,
@@ -147,9 +147,9 @@ def _witness_record(a: Algebra, kind: str, e: Relation) -> dict:
 def _algebra_record(a: Algebra, budget: int | None) -> dict:
     rec: dict = {"size": a.size}
 
-    clone = generate_ternary_clone(a)
-    maltsev = _maltsev_term(clone, a.size)
-    threeperm = _3perm_terms(clone, a.size)
+    clone = generate_ternary_clone(a, until_maltsev=True)
+    maltsev = _maltsev_term(clone)
+    threeperm = _3perm_terms(clone)
     rec["terms"] = {
         "maltsev": {
             "status": maltsev.status,
@@ -170,9 +170,9 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
 
     rec["difunctional_all"] = difunctional_all(a, budget=budget).to_dict()
     rec["goursat_identity_all"] = goursat_identity_all(a, budget=budget).to_dict()
-    rec["congruence_lattice_modular"] = congruence_lattice_is_modular(a)
 
     cons = all_congruences(a)
+    rec["congruence_lattice_modular"] = _is_modular(cons)
     rec["congruence_count"] = len(cons)
     perm_table = []
     join_ok = True

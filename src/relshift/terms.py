@@ -10,14 +10,24 @@ the generated functions:
 * 3-permutable: a pair (r, s) with r(x,y,y) = x, r(x,x,y) = s(x,y,y)
   and s(x,x,y) = y.
 
-Every generated function keeps its derivation tree so a reported term can
-be checked by hand against the signature.
+A generated clone is one read-only (members, n**3) matrix of flat tables in
+the smallest unsigned dtype for n, with every member's derivation tree, so
+a reported term can be checked by hand against the signature.  Each round
+evaluates an operation by flat ``take`` calls over chunks of argument
+tuples, and the searches read t(x,y,y) and t(x,x,y) of all members at
+once.  Both searches generate the clone only up to its first Mal'tsev
+member p: member 0 is the projection x, which satisfies r(x,y,y) = x and
+pairs only with Mal'tsev terms s, so when p exists (x, p) is the least
+3-permutability pair; without p the clone is the full or the budget-cut
+one.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +74,30 @@ class TermFunction:
         return self.table[x * n * n + y * n + z]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CloneResult:
-    functions: tuple[TermFunction, ...]
+    """A generated ternary clone on ``size`` elements.
+
+    ``tables`` is the read-only (members, size**3) matrix of the members'
+    flat tables, in clone order and in the smallest unsigned dtype that
+    holds the elements; ``terms`` holds their derivations in the same
+    order.  ``functions`` builds the members as TermFunction objects on
+    first access.
+    """
+
+    size: int
+    tables: np.ndarray
+    terms: tuple[Term, ...]
     complete: bool
     budget: int
+
+    def function(self, i: int) -> TermFunction:
+        """Member ``i`` as a TermFunction."""
+        return TermFunction(self.size, tuple(self.tables[i].tolist()), self.terms[i])
+
+    @cached_property
+    def functions(self) -> tuple[TermFunction, ...]:
+        return tuple(map(self.function, range(len(self.terms))))
 
 
 @dataclass(frozen=True)
@@ -92,102 +121,169 @@ def _table_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(n - 1)
 
 
-def generate_ternary_clone(a: Algebra, budget: int | None = None) -> CloneResult:
+def _identity_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat table columns of t(x,y,y), then of t(x,x,y), over the pairs
+    (x, y); and the values x, then y, that a Mal'tsev term takes there."""
+    x, y = np.divmod(np.arange(n * n), n)
+    columns = np.concatenate([(x * n + y) * n + y, (x * n + x) * n + y])
+    return columns, np.concatenate([x, y])
+
+
+# cells evaluated per flat ``take`` when the argument tuples allow it
+CHUNK_CELLS = 1 << 16
+
+
+def _blocks(f: np.ndarray, arity: int, tables: np.ndarray, start: int):
+    """Evaluate the operation table ``f`` on the argument tuples over the
+    ``tables`` of the clone members with at least one index at or past
+    ``start``, so every tuple is visited in exactly one round.
+
+    Yields (block, args_of) in lexicographic order of the tuples: the rows
+    of ``block`` are the results, and ``args_of(js)`` gives the arguments of
+    the rows ``js`` as one list of member indices per argument position.
+    Consecutive tuples whose last index runs over the same range are
+    evaluated by one flat ``take`` of at most about ``CHUNK_CELLS`` cells.
+    """
+    end, m = tables.shape
+    if arity == 0:
+        yield np.full((1, m), f, f.dtype), lambda js: []
+        return
+    if arity == 1:
+        yield f.take(tables[start:end]), lambda js: [(js + start).tolist()]
+        return
+    n = len(f)
+    f = f.ravel()
+    wide = tables.astype(np.intp) * n
+    for lead in itertools.product(range(end), repeat=arity - 2):
+        base = sum((wide[i] * n ** (arity - 2 - k) for k, i in enumerate(lead)), 0)
+        fresh = any(i >= start for i in lead)
+        # (first, stop, lo): the second-last index runs over first..stop-1,
+        # the last one over lo..end-1
+        runs = [(0, end, 0)] if fresh else [(0, start, start), (start, end, 0)]
+        for first, stop, lo in runs:
+            rows = end - lo
+            step = max(1, CHUNK_CELLS // (rows * m))
+            for c in range(first, stop, step):
+                idx = (base + wide[c : min(c + step, stop)])[:, None, :] + tables[lo:end]
+
+                def args_of(js, c=c, lo=lo, rows=rows, lead=lead):
+                    mids, lasts = np.divmod(js, rows)
+                    leads = ([i] * len(js) for i in lead)
+                    return [*leads, (mids + c).tolist(), (lasts + lo).tolist()]
+
+                yield f.take(idx.reshape(-1, m)), args_of
+
+
+def generate_ternary_clone(
+    a: Algebra, budget: int | None = None, *, until_maltsev: bool = False
+) -> CloneResult:
     """Close the three projections under A's basic operations, pointwise.
 
     Deterministic: functions appear in breadth-first rounds, within a round
     ordered by operation and argument indices.  ``complete`` is set iff the
     fixpoint was reached within the budget; otherwise the first ``budget``
     functions are returned.
+
+    With ``until_maltsev``, generation stops right after it keeps the first
+    member p with p(x,y,y) = x and p(x,x,y) = y, as the last member of a
+    clone with ``complete`` False; without such a member within the budget
+    the clone is the same as without the flag.  Member 0 is always the
+    projection x, so when p exists (x, p) is also the least 3-permutability
+    pair and this clone answers both term searches.
     """
     budget = resolve_budget(budget, DEFAULT_CLONE_BUDGET)
     if budget < 3:
         raise ValueError("budget must allow at least the three projections")
     n, m = a.size, a.size**3
     dtype = _table_dtype(n)
-    width = m * dtype.itemsize
-    known: dict[bytes, Term] = {}  # table bytes -> derivation term
+    row_type = np.dtype((np.void, m * dtype.itemsize))
+    # a member is a Mal'tsev term iff its values in ``columns``, as bytes,
+    # are ``identity``
+    columns, values = _identity_columns(n)
+    identity = values.astype(dtype).tobytes()
+    mark_type = np.dtype((np.void, len(identity)))
+    seen: set[bytes] = set()
     keys: list[bytes] = []  # table bytes, in clone order
+    terms: list[Term] = []  # derivations, in clone order
 
-    def keep(block: np.ndarray, term_of) -> bool:
-        """Keep the new rows of ``block`` in order; True once past the budget."""
-        data = block.tobytes()
-        for j in range(len(block)):
-            key = data[j * width : (j + 1) * width]
-            if key not in known:
-                known[key] = term_of(j)
-                keys.append(key)
-                if len(keys) > budget:
-                    return True
-        return False
+    def keep(block: np.ndarray) -> tuple[list[int], bool]:
+        """Keep the new rows of ``block`` in order.  Returns their indices
+        and whether generation stops: once past the budget or, with
+        ``until_maltsev``, once a Mal'tsev member is kept."""
+        rows = block.view(row_type).ravel().tolist()  # one bytes per row
+        first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))  # row -> first j
+        new = sorted(map(first.__getitem__, first.keys() - seen))
+        stop = len(keys) + len(new) > budget
+        del new[budget + 1 - len(keys) :]  # one member past the budget marks the cut
+        if until_maltsev and new:
+            marks = block.take(columns, axis=1).view(mark_type).ravel().tolist()
+            if identity in marks:  # the first such row is new: no kept member is one
+                del new[bisect.bisect_right(new, marks.index(identity)) :]
+                stop = True
+        keys.extend(map(rows.__getitem__, new))
+        seen.update(keys[len(keys) - len(new) :])
+        return new, stop
 
     def result(complete: bool) -> CloneResult:
-        fns = tuple(
-            TermFunction(n, tuple(np.frombuffer(key, dtype).tolist()), known[key])
-            for key in keys[:budget]
-        )
-        return CloneResult(fns, complete, budget)
+        tables = np.frombuffer(b"".join(keys[:budget]), dtype).reshape(-1, m)
+        return CloneResult(n, tables, tuple(terms[:budget]), complete, budget)
 
-    keep(np.indices((n, n, n), dtype).reshape(3, m), ("x", "y", "z").__getitem__)
+    new, stop = keep(np.indices((n, n, n), dtype).reshape(3, m))
+    terms.extend("xyz"[j] for j in new)
     start = 0
-    while start < len(keys):
+    while not stop and start < len(keys):
         end = len(keys)
         tables = np.frombuffer(b"".join(keys), dtype).reshape(end, m)
         for op, arity in a.sig.ops:
             f = a.table_array(op).astype(dtype)
-            if arity == 0:
-                if keep(np.full((1, m), f, dtype), lambda j: (op,)):
-                    return result(False)
-                continue
-            # argument tuples over tables[:end] with at least one index from
-            # the latest round, so every combination is visited exactly once
-            # across rounds; lexicographic, the last index in whole blocks
-            for prefix in itertools.product(range(end), repeat=arity - 1):
-                lo = 0 if any(i >= start for i in prefix) else start
-                pre = tuple(known[keys[i]] for i in prefix)
-                block = f[tuple(tables[i] for i in prefix) + (tables[lo:end],)]
-                if keep(block, lambda j: (op, *pre, known[keys[lo + j]])):
+            for block, args_of in _blocks(f, arity, tables, start):
+                new, stop = keep(block)
+                if new:
+                    args = [list(map(terms.__getitem__, col)) for col in args_of(np.array(new))]
+                    terms.extend(zip(itertools.repeat(op, len(new)), *args))
+                if stop:
                     return result(False)
         start = end
-    return result(True)
+    return result(not stop)
 
 
-def _identities(clone: CloneResult, n: int) -> tuple[np.ndarray, ...]:
+def _identities(clone: CloneResult) -> tuple[np.ndarray, ...]:
     """For every clone member t, in clone order: t(x,y,y) and t(x,x,y) as
     rows over the pairs (x, y), whether t(x,y,y) = x and whether t(x,x,y) = y."""
-    x, y = np.indices((n, n)).reshape(2, -1)
-    tables = np.array([fn.table for fn in clone.functions], dtype=_table_dtype(n))
-    xyy, xxy = tables[:, (x * n + y) * n + y], tables[:, (x * n + x) * n + y]
-    return xyy, xxy, (xyy == x).all(axis=1), (xxy == y).all(axis=1)
+    columns, identity = _identity_columns(clone.size)
+    values = clone.tables[:, columns]
+    ok = values == identity
+    (xyy, xxy), (left_ok, right_ok) = np.hsplit(values, 2), np.hsplit(ok, 2)
+    return xyy, xxy, left_ok.all(axis=1), right_ok.all(axis=1)
 
 
 def find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone element p with p(x,y,y) = x and p(x,x,y) = y."""
-    return _maltsev_term(generate_ternary_clone(a, budget), a.size)
+    return _maltsev_term(generate_ternary_clone(a, budget, until_maltsev=True))
 
 
 def find_3perm_terms(a: Algebra, budget: int | None = None) -> TermSearchResult:
     """Least clone pair (r, s) with r(x,y,y)=x, r(x,x,y)=s(x,y,y), s(x,x,y)=y."""
-    return _3perm_terms(generate_ternary_clone(a, budget), a.size)
+    return _3perm_terms(generate_ternary_clone(a, budget, until_maltsev=True))
 
 
-def _maltsev_term(clone: CloneResult, n: int) -> TermSearchResult:
-    """``find_maltsev_term`` over a clone already generated on n elements."""
-    _, _, left_ok, right_ok = _identities(clone, n)
+def _maltsev_term(clone: CloneResult) -> TermSearchResult:
+    """``find_maltsev_term`` over a clone already generated."""
+    _, _, left_ok, right_ok = _identities(clone)
     hits = np.flatnonzero(left_ok & right_ok)
     if len(hits):
-        return TermSearchResult("found", (clone.functions[hits[0]],))
+        return TermSearchResult("found", (clone.function(hits[0]),))
     return TermSearchResult("not_found" if clone.complete else "inconclusive")
 
 
-def _3perm_terms(clone: CloneResult, n: int) -> TermSearchResult:
-    """``find_3perm_terms`` over a clone already generated on n elements."""
-    xyy, xxy, left_ok, right_ok = _identities(clone, n)
+def _3perm_terms(clone: CloneResult) -> TermSearchResult:
+    """``find_3perm_terms`` over a clone already generated."""
+    xyy, xxy, left_ok, right_ok = _identities(clone)
     least_s: dict[bytes, int] = {}  # s(x,y,y) -> least s with s(x,x,y) = y
     for i in np.flatnonzero(right_ok):
         least_s.setdefault(xyy[i].tobytes(), i)
     for i in np.flatnonzero(left_ok):
         s = least_s.get(xxy[i].tobytes())
         if s is not None:
-            return TermSearchResult("found", (clone.functions[i], clone.functions[s]))
+            return TermSearchResult("found", (clone.function(i), clone.function(s)))
     return TermSearchResult("not_found" if clone.complete else "inconclusive")

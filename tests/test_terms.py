@@ -1,13 +1,18 @@
 """Clone generation and term-condition search."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from relshift.algebras import Algebra, Signature, evaluate
+from relshift.harness import bundled_corpus
 from relshift.relations import Carrier
 from relshift.terms import (
     TermFunction,
+    _3perm_terms,
+    _maltsev_term,
     find_3perm_terms,
     find_maltsev_term,
     generate_ternary_clone,
@@ -165,3 +170,66 @@ class TestThreePermSearch:
         )
         for search in (find_maltsev_term, find_3perm_terms):
             assert search(base).status == search(reordered).status
+
+
+def groupoid(name, n, table):
+    return Algebra(name, Carrier(n), Signature((("m", 2),)), {"m": tuple(table)})
+
+
+def random_groupoid(seed):
+    """A 3-element groupoid with a seeded random table."""
+    rng = random.Random(seed)
+    return groupoid(f"random{seed}", 3, (rng.randrange(3) for _ in range(9)))
+
+
+def quasigroup(seed):
+    """A 3-element quasigroup: Z3's addition table with its rows, columns
+    and values permuted by seeded permutations.  It has a Mal'tsev term."""
+    rng = random.Random(seed)
+    r, c, v = (rng.sample(range(3), 3) for _ in range(3))
+    return groupoid(f"quasigroup{seed}", 3, (v[(r[x] + c[y]) % 3] for x in range(3) for y in range(3)))
+
+
+EARLY_STOP_CASES = [
+    groupoid("trivial", 1, (0,)),
+    *bundled_corpus().values(),  # Z2, Z3 and Z4 among them
+    cyclic_group(5),
+    cyclic_group(6),
+    groupoid("sub5", 5, ((x - y) % 5 for x in range(5) for y in range(5))),
+    *map(random_groupoid, range(6)),
+    *map(quasigroup, range(4)),
+]
+
+
+class TestEarlyStop:
+    """The searches stop generating the clone at its first Mal'tsev member;
+    the oracle is the same search over the clone generated without that stop."""
+
+    @pytest.mark.parametrize("a", EARLY_STOP_CASES, ids=lambda a: a.name)
+    def test_searches_match_the_full_clone(self, a):
+        budgets = [None]
+        full = generate_ternary_clone(a)
+        p = _maltsev_term(full).terms
+        if p:
+            k = full.terms.index(p[0].term)
+            # budgets that cut the clone before p, and that keep p last
+            budgets += [b for b in (k - 1, k, k + 1) if b >= 3]
+        for budget in budgets:
+            full = generate_ternary_clone(a, budget)
+            maltsev, threeperm = find_maltsev_term(a, budget), find_3perm_terms(a, budget)
+            assert maltsev == _maltsev_term(full)
+            assert threeperm == _3perm_terms(full)
+            if maltsev.found:
+                assert threeperm.terms == (full.functions[0], maltsev.terms[0])
+
+    def test_z6_clone_stops_at_its_maltsev_term(self):
+        z6 = cyclic_group(6)
+        full = generate_ternary_clone(z6)
+        cut = generate_ternary_clone(z6, until_maltsev=True)
+        k = len(cut.functions)
+        assert full.complete and not cut.complete
+        assert 3 < k < len(full.functions)
+        assert cut.functions == full.functions[:k]
+        assert cut.functions[-1] == _maltsev_term(full).terms[0]
+        assert np.array_equal(cut.tables, full.tables[:k])
+        assert cut.tables.dtype == np.uint8 and not cut.tables.flags.writeable
