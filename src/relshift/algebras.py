@@ -372,6 +372,8 @@ def algebra_from_json(text: str) -> Algebra:
     # type(...) is int, not isinstance: JSON true and false load as bools, an int subclass
     if not (type(n) is int and n >= 1):
         raise AlgebraParseError("size must be a positive integer")
+    if not isinstance(doc["operations"], list):
+        raise AlgebraParseError("operations must be a list")
     ops: list[tuple[str, int]] = []
     tables: dict[str, tuple[int, ...]] = {}
     for spec in doc["operations"]:

@@ -343,15 +343,13 @@ def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) ->
     return all(is_equivalence(p) for p in pos)
 
 
-def ee_properties(
-    a: Algebra, e: Relation, budget: int | None = None, sweep: bool | str | None = None
-) -> dict:
+def ee_properties(a: Algebra, e: Relation, *, sweep: bool | str | None = None) -> dict:
     """Symmetrization facts for one reflexive compatible E, plus whether
     every reflexive positive compatible relation on A is an equivalence.
 
     The last fact does not depend on E; ``sweep``, when given, is its value
-    from ``reflexive_positive_all_equivalence(a, budget)`` and is not
-    computed again.
+    and is not computed again; otherwise it is
+    ``reflexive_positive_all_equivalence(a)`` under the default budget.
     """
     if not is_reflexive(e):
         raise PreconditionError("E must be reflexive")
@@ -363,6 +361,6 @@ def ee_properties(
         "ee_op_is_equivalence": is_equivalence(ee_op),
         "ee_op_equals_op_ee": ee_op == op_ee,
         "reflexive_positive_all_equivalence": (
-            reflexive_positive_all_equivalence(a, budget) if sweep is None else sweep
+            reflexive_positive_all_equivalence(a) if sweep is None else sweep
         ),
     }

@@ -1,12 +1,18 @@
 """Command-line front door.
 
-stdout always carries a single JSON document; human-readable notes go to
-stderr.  Exit codes are a stable contract:
+stdout always carries a single JSON document; error messages also go to
+stderr.  Every command returns its document and its outcome, and one
+place, ``_Contract.main``, prints the document and maps the outcome to
+the exit code.  The codes are a stable contract:
 
   0  property holds / object found / suite completed
   1  property violated / no witness / term not found
-  2  usage or parse error / a suite record failed
+  2  error: click's usage errors, missing files, parse, shape, precondition
+     and budget errors, a failed suite record, or anything unexpected;
+     the document is then {"error": message}
   3  inconclusive (enumeration or clone budget exceeded)
+
+``--help`` is the one exception: it prints its text, not JSON, and exits 0.
 
 RELSHIFT_BUDGET overrides the default clone/enumeration budgets; a value
 that is not a positive integer is a usage error.
@@ -17,6 +23,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from typing import Callable, TypeVar
 
 import click
 
@@ -29,9 +36,7 @@ from .algebras import (
 )
 from .checks import (
     DEFAULT_ENUM_BUDGET,
-    PreconditionError,
     RelationClass,
-    SLResult,
     difunctional_all,
     ee_properties,
     goursat_identity_all,
@@ -45,17 +50,22 @@ from .harness import bundled_corpus, load_corpus, run_suite
 from .relations import (
     Relation,
     RelationParseError,
-    ShapeError,
     is_positive,
     positive_witness,
     relation_from_json,
 )
 from .terms import TermFunction, find_3perm_terms, find_maltsev_term
 
-EXIT_HOLDS = 0
-EXIT_VIOLATED = 1
-EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
+EXIT_CODES = {
+    "holds": 0,
+    "found": 0,
+    True: 0,
+    "violated": 1,
+    "not_found": 1,
+    False: 1,
+    "inconclusive": 3,
+}
+EXIT_ERROR = 2
 
 PROPERTIES = (
     "shifting-lemma",
@@ -67,63 +77,75 @@ PROPERTIES = (
     "ee",
 )
 
-
-def _fail(message: str) -> "NoReturn":  # noqa: F821
-    print(message, file=sys.stderr)
-    print(json.dumps({"error": message}))
-    sys.exit(EXIT_USAGE)
+T = TypeVar("T")
 
 
-def _load_algebra(path: str) -> Algebra:
+def _error_message(e: Exception) -> str:
+    """The message of the error document; an unexpected exception also
+    leaves its traceback on stderr."""
+    if isinstance(e, click.ClickException):  # click's usage errors, and ours
+        return e.format_message()
+    if isinstance(e, ValueError):  # parse, shape, precondition and budget errors
+        return str(e)
+    import traceback  # imported here: loading it costs every run some memory
+
+    traceback.print_exc()
+    return f"{type(e).__name__}: {e}"
+
+
+class _Contract(click.Group):
+    """A command group whose commands return (document, outcome)."""
+
+    def main(self, args=None, prog_name=None, **extra):
+        try:
+            result = super().main(args, prog_name, standalone_mode=False, **extra)
+            if not isinstance(result, tuple):  # --help has printed its text
+                return result
+            document, outcome = result
+            code = EXIT_CODES[outcome]
+        except Exception as e:
+            message = _error_message(e)
+            print(message, file=sys.stderr)
+            document, code = {"error": message}, EXIT_ERROR
+        # a witness document arrives already serialised, indented
+        print(document if isinstance(document, str) else json.dumps(document))
+        sys.exit(code)
+
+
+def _read(path: str, parse: Callable[[str], T] = str) -> T:
+    """The file at ``path`` parsed by ``parse`` (by default its text); a
+    missing file, bytes that are not UTF-8 and parse errors name the path."""
     p = pathlib.Path(path)
     if not p.is_file():
-        _fail(f"no such file: {path}")
+        raise click.ClickException(f"no such file: {path}")
     try:
-        return algebra_from_json(p.read_text())
-    except AlgebraParseError as e:
-        _fail(f"{path}: {e}")
+        return parse(p.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise click.ClickException(f"{path}: {e}") from e
 
 
-def _load_relation(path: str | None, flag: str) -> Relation:
+def _relation(path: str | None, flag: str) -> Relation:
     if path is None:
-        _fail(f"missing required option {flag}")
-    p = pathlib.Path(path)
-    if not p.is_file():
-        _fail(f"no such file: {path}")
-    try:
-        return relation_from_json(p.read_text())
-    except RelationParseError as e:
-        _fail(f"{path}: {e}")
+        raise click.ClickException(f"missing required option {flag}")
+    return _read(path, relation_from_json)
 
 
-def _load_compatible(a: Algebra, path: str | None, flag: str) -> Relation:
+def _compatible(a: Algebra, path: str | None, flag: str) -> Relation:
     """A relation file that must hold a compatible relation on A's carrier."""
-    r = _load_relation(path, flag)
-    try:
-        ok = is_compatible(a, r)
-    except ShapeError:
-        _fail(f"{flag}: relation is not on the carrier of {a.name} (size {a.size})")
-    if not ok:
-        _fail(f"{flag}: relation is not compatible with {a.name}")
+    r = _relation(path, flag)
+    if r.dom != a.carrier or r.cod != a.carrier:
+        raise click.ClickException(
+            f"{flag}: relation is not on the carrier of {a.name} (size {a.size})"
+        )
+    if not is_compatible(a, r):
+        raise click.ClickException(f"{flag}: relation is not compatible with {a.name}")
     return r
 
 
-def _emit_sl(result: SLResult) -> int:
-    print(json.dumps(result.to_dict()))
-    if result.verdict == "holds":
-        return EXIT_HOLDS
-    if result.verdict == "violated":
-        return EXIT_VIOLATED
-    return EXIT_INCONCLUSIVE
-
-
-@click.group()
+@click.group(cls=_Contract)
 def main() -> None:
     """Shifting-Lemma workbench for finite algebras."""
-    try:
-        resolve_budget(None, DEFAULT_ENUM_BUDGET)
-    except ValueError as e:
-        _fail(str(e))
+    resolve_budget(None, DEFAULT_ENUM_BUDGET)
 
 
 @main.command()
@@ -133,86 +155,68 @@ def main() -> None:
 @click.option("--S", "s_path", default=None)
 @click.option("--T", "t_path", default=None)
 @click.option("--classes", "classes", default=None, help="e.g. refl,refl,refl")
-def check(algebra_path, prop, r_path, s_path, t_path, classes) -> None:
+def check(algebra_path, prop, r_path, s_path, t_path, classes):
     """Decide a property of an algebra (or of explicit relations on it)."""
-    a = _load_algebra(algebra_path)
-    try:
-        if prop == "shifting-lemma":
-            if classes is not None:
-                parts = classes.split(",")
-                if len(parts) != 3:
-                    _fail("--classes needs three comma-separated class names")
-                try:
-                    cr, cs, ct = (RelationClass.parse(p) for p in parts)
-                except ValueError as e:
-                    _fail(str(e))
-                sys.exit(_emit_sl(shifting_lemma_forall(a, cr, cs, ct)))
-            r = _load_compatible(a, r_path, "--R")
-            s = _load_compatible(a, s_path, "--S")
-            t = _load_compatible(a, t_path, "--T")
-            sys.exit(_emit_sl(shifting_lemma(r, s, t)))
-        elif prop == "difunctional":
-            sys.exit(_emit_sl(difunctional_all(a)))
-        elif prop == "goursat-identity":
-            sys.exit(_emit_sl(goursat_identity_all(a)))
-        elif prop == "permutability":
-            r = _load_compatible(a, r_path, "--R")
-            s = _load_compatible(a, s_path, "--S")
-            verdict = permutability(r, s)
-            doc = {
-                "level": verdict["level"],
-                "RS": verdict["RS"].pairs(),
-                "SR": verdict["SR"].pairs(),
-                "RSR": verdict["RSR"].pairs(),
-                "SRS": verdict["SRS"].pairs(),
-            }
-            print(json.dumps(doc))
-            sys.exit(EXIT_HOLDS if verdict["level"] != "neither" else EXIT_VIOLATED)
-        elif prop == "modular-lattice":
-            ok = congruence_lattice_is_modular(a)
-            print(json.dumps({"modular": ok}))
-            sys.exit(EXIT_HOLDS if ok else EXIT_VIOLATED)
-        elif prop == "positive":
-            r = _load_relation(r_path, "--R")
-            ok = is_positive(r)
-            w = positive_witness(r)
-            doc = {"positive": ok}
-            if w is not None:
-                doc["witness"] = {"dom": w.dom.size, "cod": w.cod.size, "pairs": w.pairs()}
-            print(json.dumps(doc))
-            sys.exit(EXIT_HOLDS if ok else EXIT_VIOLATED)
-        elif prop == "ee":
-            r = _load_relation(r_path, "--R")
-            record = ee_properties(a, r)
-            print(json.dumps(record))
-            # the sweep reads True, False or "inconclusive: …"
-            sweep = record["reflexive_positive_all_equivalence"]
-            if not (record["ee_op_is_equivalence"] and record["ee_op_equals_op_ee"]) or sweep is False:
-                sys.exit(EXIT_VIOLATED)
-            sys.exit(EXIT_HOLDS if sweep is True else EXIT_INCONCLUSIVE)
-    except (ShapeError, PreconditionError) as e:
-        _fail(str(e))
+    a = _read(algebra_path, algebra_from_json)
+    if prop == "shifting-lemma":
+        if classes is not None:
+            parts = classes.split(",")
+            if len(parts) != 3:
+                raise click.ClickException("--classes needs three comma-separated class names")
+            result = shifting_lemma_forall(a, *(RelationClass.parse(p) for p in parts))
+        else:
+            result = shifting_lemma(
+                _compatible(a, r_path, "--R"),
+                _compatible(a, s_path, "--S"),
+                _compatible(a, t_path, "--T"),
+            )
+        return result.to_dict(), result.verdict
+    if prop in ("difunctional", "goursat-identity"):
+        result = (difunctional_all if prop == "difunctional" else goursat_identity_all)(a)
+        return result.to_dict(), result.verdict
+    if prop == "permutability":
+        verdict = permutability(_compatible(a, r_path, "--R"), _compatible(a, s_path, "--S"))
+        doc = {
+            "level": verdict["level"],
+            "RS": verdict["RS"].pairs(),
+            "SR": verdict["SR"].pairs(),
+            "RSR": verdict["RSR"].pairs(),
+            "SRS": verdict["SRS"].pairs(),
+        }
+        return doc, verdict["level"] != "neither"
+    if prop == "modular-lattice":
+        ok = congruence_lattice_is_modular(a)
+        return {"modular": ok}, ok
+    if prop == "positive":
+        r = _relation(r_path, "--R")
+        ok = is_positive(r)
+        w = positive_witness(r)
+        doc = {"positive": ok}
+        if w is not None:
+            doc["witness"] = {"dom": w.dom.size, "cod": w.cod.size, "pairs": w.pairs()}
+        return doc, ok
+    # ee: the sweep reads True, False or "inconclusive: …"
+    record = ee_properties(a, _relation(r_path, "--R"))
+    sweep = record["reflexive_positive_all_equivalence"]
+    if not (record["ee_op_is_equivalence"] and record["ee_op_equals_op_ee"]):
+        return record, False
+    return record, sweep if isinstance(sweep, bool) else "inconclusive"
 
 
 @main.command()
 @click.argument("kind", type=click.Choice(["maltsev", "goursat"]))
 @click.option("--algebra", "algebra_path", required=True)
 @click.option("--relation", "relation_path", required=True)
-def witness(kind, algebra_path, relation_path) -> None:
+def witness(kind, algebra_path, relation_path):
     """Construct a Shifting-Lemma violation from a seed relation."""
-    a = _load_algebra(algebra_path)
-    e = _load_relation(relation_path, "--relation")
+    a = _read(algebra_path, algebra_from_json)
+    e = _read(relation_path, relation_from_json)
     builder = maltsev_sl_witness if kind == "maltsev" else goursat_sl_witness
     try:
         w = builder(a, e)
     except NoWitnessError as err:
-        print(str(err), file=sys.stderr)
-        print(json.dumps({"witness": None, "reason": str(err)}))
-        sys.exit(EXIT_VIOLATED)
-    except (ValueError, ShapeError) as err:
-        _fail(str(err))
-    print(witness_to_json(w))
-    sys.exit(EXIT_HOLDS)
+        return {"witness": None, "reason": str(err)}, "not_found"
+    return witness_to_json(w), "found"
 
 
 def _term_doc(t: TermFunction) -> dict:
@@ -223,35 +227,23 @@ def _term_doc(t: TermFunction) -> dict:
 @click.argument("kind", type=click.Choice(["maltsev", "threeperm"]))
 @click.option("--algebra", "algebra_path", required=True)
 @click.option("--budget", type=int, default=None)
-def terms(kind, algebra_path, budget) -> None:
+def terms(kind, algebra_path, budget):
     """Search the ternary clone for the requested term condition."""
-    a = _load_algebra(algebra_path)
-    try:
-        res = (find_maltsev_term if kind == "maltsev" else find_3perm_terms)(a, budget)
-    except ValueError as e:
-        _fail(str(e))
-    if res.found:
-        if kind == "maltsev":
-            doc = {"identity_set": "maltsev", "p": _term_doc(res.terms[0])}
-        else:
-            r, s = res.terms
-            doc = {"identity_set": "3perm", "r": _term_doc(r), "s": _term_doc(s)}
-        print(json.dumps(doc))
-        sys.exit(EXIT_HOLDS)
-    if res.status == "not_found":
-        print("not found (clone complete)", file=sys.stderr)
-        print(json.dumps({"identity_set": kind, "status": "not_found"}))
-        sys.exit(EXIT_VIOLATED)
-    print("not found within budget", file=sys.stderr)
-    print(json.dumps({"identity_set": kind, "status": "inconclusive"}))
-    sys.exit(EXIT_INCONCLUSIVE)
+    a = _read(algebra_path, algebra_from_json)
+    res = (find_maltsev_term if kind == "maltsev" else find_3perm_terms)(a, budget)
+    if not res.found:  # "not_found" (clone complete) or "inconclusive" (budget)
+        return {"identity_set": kind, "status": res.status}, res.status
+    if kind == "maltsev":
+        return {"identity_set": "maltsev", "p": _term_doc(res.terms[0])}, "found"
+    r, s = res.terms
+    return {"identity_set": "3perm", "r": _term_doc(r), "s": _term_doc(s)}, "found"
 
 
 @main.command()
 @click.option("--corpus", "corpus_path", default="bundled", show_default=True)
 @click.option("--out", "out_path", required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def suite(corpus_path, out_path, seed) -> None:
+def suite(corpus_path, out_path, seed):
     """Run the cross-validation suite and write the report."""
     if corpus_path == "bundled":
         corpus = bundled_corpus()
@@ -259,32 +251,27 @@ def suite(corpus_path, out_path, seed) -> None:
     else:
         d = pathlib.Path(corpus_path)
         if not d.is_dir():
-            _fail(f"no such corpus directory: {corpus_path}")
-        try:
-            corpus = load_corpus(d)
-        except AlgebraParseError as e:
-            _fail(str(e))
+            raise click.ClickException(f"no such corpus directory: {corpus_path}")
+        corpus = load_corpus(d)
         if not corpus:
-            _fail(f"no algebra files in {corpus_path}")
+            raise click.ClickException(f"no algebra files in {corpus_path}")
         corpus_id = str(d)
     report = run_suite(corpus, seed=seed, corpus_id=corpus_id)
     text = json.dumps(report, indent=2, sort_keys=True)
     pathlib.Path(out_path).write_text(text + "\n")
     failed = [name for name, rec in report["algebras"].items() if "error" in rec]
     if failed:
-        _fail(f"suite records failed for {', '.join(failed)} (report written to {out_path})")
-    print(json.dumps({"report": out_path, "algebras": sorted(corpus)}))
-    sys.exit(EXIT_HOLDS)
+        raise click.ClickException(
+            f"suite records failed for {', '.join(failed)} (report written to {out_path})"
+        )
+    return {"report": out_path, "algebras": sorted(corpus)}, True
 
 
 @main.command()
 @click.option("--file", "file_path", required=True)
-def validate(file_path) -> None:
+def validate(file_path):
     """Validate an algebra or relation file against its schema."""
-    p = pathlib.Path(file_path)
-    if not p.is_file():
-        _fail(f"no such file: {file_path}")
-    text = p.read_text()
+    text = _read(file_path)
     errors = []
     for kind, parser in (("algebra", algebra_from_json), ("relation", relation_from_json)):
         try:
@@ -292,9 +279,8 @@ def validate(file_path) -> None:
         except (AlgebraParseError, RelationParseError) as e:
             errors.append(f"{kind}: {e}")
         else:
-            print(json.dumps({"valid": True, "kind": kind}))
-            sys.exit(EXIT_HOLDS)
-    _fail("; ".join(errors))
+            return {"valid": True, "kind": kind}, True
+    raise click.ClickException("; ".join(errors))
 
 
 if __name__ == "__main__":

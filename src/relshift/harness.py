@@ -36,7 +36,6 @@ from .checks import (
     enumerate_class_relations,
     goursat_identity_all,
     permutability,
-    reflexive_positive_all_equivalence,
     shifting_lemma,
     shifting_lemma_forall,
 )
@@ -48,7 +47,7 @@ from .constructions import (
     kernel_pair,
     maltsev_sl_witness,
 )
-from .relations import Relation, compose, is_symmetric, meet
+from .relations import Relation, compose, is_equivalence, is_positive, is_symmetric, meet
 from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
@@ -191,8 +190,9 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
         rec["ee_properties"] = f"inconclusive: {err}"
         refl, ee_all = [], []
     else:
-        sweep = reflexive_positive_all_equivalence(a, budget)
-        ee_all = [ee_properties(a, e, budget, sweep) for e in refl]
+        # the reflexive positive relations are the positive members of refl
+        sweep = all(is_equivalence(e) for e in refl if is_positive(e))
+        ee_all = [ee_properties(a, e, sweep=sweep) for e in refl]
         rec["ee_properties"] = {
             "all_ee_op_equivalence": all(r["ee_op_is_equivalence"] for r in ee_all),
             "all_ee_op_equals_op_ee": all(r["ee_op_equals_op_ee"] for r in ee_all),

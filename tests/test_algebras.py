@@ -300,6 +300,9 @@ class TestJson:
             ("{", "invalid JSON"),
             ("3", "JSON object"),
             ('{"name": "a", "size": 2}', "operations"),
+            ('{"name": "a", "size": 2, "operations": 5}', "operations"),
+            ('{"name": "a", "size": 2, "operations": null}', "operations"),
+            ('{"name": "a", "size": 2, "operations": "f"}', "operations"),
             (
                 '{"name": "a", "size": 2, "operations": [{"name": "f", "arity": 2, "table": [0]}]}',
                 "'f'",

@@ -4,8 +4,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from relshift import harness
+from relshift import cli, harness
 from relshift.algebras import Algebra, Signature, algebra_to_json
 from relshift.cli import main
 from relshift.harness import bundled_corpus
@@ -389,3 +391,95 @@ class TestValidate:
         code, doc = run(runner, args)
         assert code == 2
         assert "error" in doc
+
+
+class TestContract:
+    """Inputs that reach no command handler still exit 2 with one error document."""
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--property", "difunctional"],
+        ["check", "--algebra", "{z2}", "--property", "nope"],
+        ["terms", "maltsev", "--algebra", "{z2}", "--budget", "x"],
+        ["suite", "--out", "r.json", "--seed", "x"],
+        ["frobnicate"],
+    ])
+    def test_click_usage_errors(self, runner, files, args):
+        code, doc = run(runner, [a.format(**files) for a in args])
+        assert code == 2
+        assert set(doc) == {"error"}
+
+    def test_help_is_text(self, runner):
+        result = runner.invoke(main, ["check", "--help"])
+        assert result.exit_code == 0
+        assert "--property" in result.stdout
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b'{"name": "a", "size": 2, "operations": 5}',
+    ])
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_unreadable_algebra_file(self, runner, tmp_path, command, content):
+        p = tmp_path / "a.json"
+        p.write_bytes(content)
+        args = {
+            "validate": ["validate", "--file", str(p)],
+            "check": ["check", "--algebra", str(p), "--property", "difunctional"],
+        }[command]
+        code, doc = run(runner, args)
+        assert code == 2
+        assert set(doc) == {"error"}
+
+    def test_unexpected_exception(self, runner, files, monkeypatch):
+        def boom(a):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "congruence_lattice_is_modular", boom)
+        args = ["check", "--algebra", files["z2"], "--property", "modular-lattice"]
+        code, doc = run(runner, args)
+        assert code == 2
+        assert doc == {"error": "RuntimeError: boom"}
+
+    def test_consistency_error_from_suite(self, runner, tmp_path, monkeypatch):
+        def record(a, budget):
+            raise harness.ConsistencyError(f"{a.name}: contradicted")
+
+        monkeypatch.setattr(harness, "_algebra_record", record)
+        code, doc = run(runner, ["suite", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert doc["error"].startswith("ConsistencyError: ")
+
+
+# JSON values of every kind, with the schema's keys among the dictionary
+# keys so that some documents get past the first checks; integers stay
+# small, so a generated size never asks for a large matrix
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(["name", "size", "operations", "arity", "table", "dom", "cod", "pairs"])
+        | st.text(max_size=4),
+        children,
+        max_size=5,
+    ),
+    max_leaves=20,
+)
+file_contents = st.binary(max_size=64) | json_values.map(lambda v: json.dumps(v).encode())
+
+
+class TestFuzz:
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(content=file_contents)
+    @pytest.mark.parametrize("command", ["validate", "positive"])
+    def test_any_file_keeps_the_contract(self, runner, files, tmp_path, command, content):
+        p = tmp_path / "fuzz.json"
+        p.write_bytes(content)
+        args = {
+            "validate": ["validate", "--file", str(p)],
+            "positive": [
+                "check", "--algebra", files["z2"], "--property", "positive", "--R", str(p)
+            ],
+        }[command]
+        code, doc = run(runner, args)
+        assert code in (0, 1, 2, 3)
+        assert (code == 2) == (set(doc) == {"error"})

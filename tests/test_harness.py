@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from relshift import harness
+from relshift import checks, harness
 from relshift.algebras import algebra_from_json, algebra_to_json, all_congruences
 from relshift.checks import RelationClass, enumerate_class_relations, shifting_lemma
 from relshift.harness import (
@@ -158,20 +158,29 @@ class TestSuite:
         again = run_suite(bundled_corpus(), seed=7)
         assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
 
-    def test_record_builds_clone_and_sweep_once(self, monkeypatch):
-        calls = []
+    def test_record_builds_clone_once_and_no_sweep(self, monkeypatch):
+        clones, classes = [], []
+        real_clone, real_enum = harness.generate_ternary_clone, checks.enumerate_class_relations
 
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
+        def clone(a, *args, **kwargs):
+            clones.append(a.name)
+            return real_clone(a, *args, **kwargs)
 
-        for name in ("generate_ternary_clone", "reflexive_positive_all_equivalence"):
-            monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+        def enum(a, cls, *args, **kwargs):
+            classes.append(cls)
+            return real_enum(a, cls, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_ternary_clone", clone)
+        for module in (checks, harness):
+            monkeypatch.setattr(module, "enumerate_class_relations", enum)
         z3 = bundled_corpus()["z3"]
-        assert "error" not in run_suite({"z3": z3})["algebras"]["z3"]
-        assert calls == ["generate_ternary_clone", "reflexive_positive_all_equivalence"]
+        record = run_suite({"z3": z3})["algebras"]["z3"]
+        assert "error" not in record
+        assert record["ee_properties"]["reflexive_positive_all_equivalence"] is True
+        assert clones == ["z3"]
+        # only the reflpos,refl,reflpos check enumerates the reflexive positive
+        # relations; the sweep reads them off the reflexive list
+        assert classes.count(RelationClass.REFLEXIVE_POSITIVE) == 1
 
     def test_per_algebra_failure_recorded_not_fatal(self):
         corpus = dict(bundled_corpus())
