@@ -175,38 +175,37 @@ def _close_between(a: Algebra, b: Algebra, m: np.ndarray) -> np.ndarray:
 
 def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, int]]) -> Relation:
     """Least compatible relation containing ``seed`` (subalgebra of A^2)."""
-    n = a.size
-    m = np.zeros((n, n), dtype=bool)
-    for x, y in seed:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"seed pair ({x}, {y}) out of range")
-        m[x, y] = True
+    m = Relation.from_pairs(a.carrier, a.carrier, seed).members.copy()
     return Relation(a.carrier, a.carrier, _close_between(a, a, m))
 
 
-def _translation_rows(a: Algebra) -> list[list[list[int]]]:
-    """The basic translations of A, one list per operation of arity >= 1 and
-    argument position i: row u lists f with u at position i, for every choice
-    of the other arguments in row-major order."""
+def _translations(a: Algebra) -> list[tuple[int, ...]]:
+    """The distinct basic translations of A: the maps u -> f(..., u, ...) for
+    every operation f of arity >= 1, argument position and choice of the
+    other arguments, each as the tuple of its values, in order of first
+    appearance."""
     n = a.size
-    return [
-        np.moveaxis(f, i, 0).reshape(n, -1).tolist()
+    return list(dict.fromkeys(
+        tuple(t)
         for f in (a.table_array(op) for op, _ in a.sig.ops)
         for i in range(f.ndim)
-    ]
+        for t in np.moveaxis(f, i, -1).reshape(-1, n).tolist()
+    ))
 
 
 def _union_find(
-    labels: list[int], pairs: Iterable[tuple[int, int]], rows: list[list[list[int]]]
+    labels: list[int], pairs: Iterable[tuple[int, int]], maps: list[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Union-find: the least equivalence that contains the partition
-    ``labels`` and ``pairs`` and is closed under the translations ``rows``,
+    ``labels`` and ``pairs`` and is closed under the translations ``maps``,
     given a partition ``labels`` that is closed under them already.
 
     ``labels`` maps each element to the least element of its block and is
-    updated in place.  Every pair whose union merges two blocks is pushed,
-    and its images under every translation are merged in turn; a translation
-    maps a chain of pushed pairs to a chain, so these pushed pairs suffice.
+    updated in place; ``maps`` holds each translation once, as the tuple of
+    its values.  Every pair (u, v) whose union merges two blocks is pushed,
+    and its image (f[u], f[v]) under every map f is merged in turn; a
+    translation maps a chain of pushed pairs to a chain, so these pushed
+    pairs suffice.
     The result is canonical: each element labelled by its block's least
     element.
     """
@@ -226,10 +225,9 @@ def _union_find(
     todo = [(u, v) for u, v in pairs if merge(u, v)]
     while todo:
         u, v = todo.pop()
-        for row in rows:
-            for fu, fv in zip(row[u], row[v]):
-                if merge(fu, fv):
-                    todo.append((fu, fv))
+        for f in maps:
+            if merge(f[u], f[v]):
+                todo.append((f[u], f[v]))
     return tuple(map(find, range(len(labels))))
 
 
@@ -246,7 +244,7 @@ def principal_congruence(a: Algebra, x: int, y: int) -> Relation:
     n = a.size
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError(f"elements ({x}, {y}) out of range for size {n}")
-    return _congruence(a, _union_find(list(range(n)), [(x, y)], _translation_rows(a)))
+    return _congruence(a, _union_find(list(range(n)), [(x, y)], _translations(a)))
 
 
 def congruence_join(r: Relation, s: Relation) -> Relation:
@@ -266,9 +264,9 @@ def all_congruences(a: Algebra) -> list[Relation]:
     Returned in a deterministic order: sorted by pair list.
     """
     n = a.size
-    rows = _translation_rows(a)
+    maps = _translations(a)
     principals = list(dict.fromkeys(
-        _union_find(list(range(n)), [(x, y)], rows) for x in range(n) for y in range(x + 1, n)
+        _union_find(list(range(n)), [(x, y)], maps) for x in range(n) for y in range(x + 1, n)
     ))
     found = {tuple(range(n)), *principals}
     frontier = principals
@@ -307,14 +305,17 @@ def _is_modular(cons: list[Relation]) -> bool:
 class PairedObject:
     """A reflexive compatible relation E packaged as an object of pairs.
 
-    ``pairs`` lists the members of E in lexicographic order; e1 and e2 are
-    the coordinate projections pair-index -> base element.
+    ``pairs`` lists the members of E in lexicographic order; ``first`` and
+    ``second`` hold their coordinates in the same order, as index arrays.
+    e1 and e2 are the coordinate projections pair-index -> base element.
     """
 
     base: Algebra
     relation: Relation
     pairs: tuple[tuple[int, int], ...]
     index: dict[tuple[int, int], int] = field(compare=False, repr=False)
+    first: np.ndarray = field(compare=False, repr=False)
+    second: np.ndarray = field(compare=False, repr=False)
 
     @property
     def carrier(self) -> Carrier:
@@ -332,9 +333,10 @@ def as_paired_object(a: Algebra, e: Relation) -> PairedObject:
         raise ValueError("relation must be reflexive")
     if not is_compatible(a, e):
         raise ValueError("relation must be compatible")
-    pairs = tuple(e.pairs())
+    first, second = np.nonzero(e.members)
+    pairs = tuple(zip(first.tolist(), second.tolist()))
     index = {p: i for i, p in enumerate(pairs)}
-    return PairedObject(base=a, relation=e, pairs=pairs, index=index)
+    return PairedObject(a, e, pairs, index, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,8 @@ def algebra_from_json(text: str) -> Algebra:
         if not isinstance(spec, dict) or not {"name", "arity", "table"} <= set(spec):
             raise AlgebraParseError(f"malformed operation entry: {spec!r}")
         opname, arity, table = spec["name"], spec["arity"], spec["table"]
+        if not isinstance(opname, str):
+            raise AlgebraParseError(f"operation name is not a string: {spec!r}")
         if not (type(arity) is int and 0 <= arity <= MAX_ARITY):
             raise AlgebraParseError(f"operation {opname!r}: bad arity {arity!r}")
         if not isinstance(table, list) or len(table) != n**arity:

@@ -68,22 +68,14 @@ class SLInstance:
 
 def build_T(e: PairedObject) -> Relation:
     """((a,b), (c,d)) related iff (a, d) is in E; reflexive when E is."""
-    first, second = _coordinates(e)
-    m = e.relation.members[first[:, None], second[None, :]]
+    m = e.relation.members[e.first[:, None], e.second[None, :]]
     return Relation(e.carrier, e.carrier, m)
 
 
 def build_R(e: PairedObject) -> Relation:
-    """((a,b), (c,d)) related iff (c, b) is in E; reflexive when E is."""
-    first, second = _coordinates(e)
-    m = e.relation.members[first[None, :], second[:, None]]
-    return Relation(e.carrier, e.carrier, m)
-
-
-def _coordinates(p: PairedObject) -> tuple[np.ndarray, np.ndarray]:
-    """First and second coordinates of the pairs of p, in pair-index order."""
-    coords = np.asarray(p.pairs, dtype=np.intp).reshape(-1, 2)
-    return coords[:, 0], coords[:, 1]
+    """((a,b), (c,d)) related iff (c, b) is in E, that is iff ((c,d), (a,b))
+    is in T: R is the opposite of T.  Reflexive when E is."""
+    return opposite(build_T(e))
 
 
 def kernel_pair(p: PairedObject, leg: int) -> Relation:
@@ -91,7 +83,7 @@ def kernel_pair(p: PairedObject, leg: int) -> Relation:
     coordinate.  Always an equivalence relation."""
     if leg not in (1, 2):
         raise ValueError("leg must be 1 or 2")
-    vals = _coordinates(p)[leg - 1]
+    vals = p.first if leg == 1 else p.second
     return Relation(p.carrier, p.carrier, vals[:, None] == vals[None, :])
 
 
@@ -146,7 +138,7 @@ def build_W(t: Relation, r: Relation, s: PairedObject) -> Relation:
 
 
 def _side_by_side(left: Relation, right: Relation, s: PairedObject) -> Relation:
-    a_, b_ = _coordinates(s)
+    a_, b_ = s.first, s.second
     m = left.members[a_[:, None], a_[None, :]] & right.members[b_[:, None], b_[None, :]]
     return Relation(s.carrier, s.carrier, m)
 

@@ -24,7 +24,6 @@ one.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,13 +196,9 @@ def generate_ternary_clone(
     n, m = a.size, a.size**3
     dtype = _table_dtype(n)
     row_type = np.dtype((np.void, m * dtype.itemsize))
-    # a member is a Mal'tsev term iff its values in ``columns``, as bytes,
-    # are ``identity``
     columns, values = _identity_columns(n)
-    identity = values.astype(dtype).tobytes()
-    mark_type = np.dtype((np.void, len(identity)))
-    seen: set[bytes] = set()
-    keys: list[bytes] = []  # table bytes, in clone order
+    values = values.astype(dtype)  # the table dtype: rows compare without a cast
+    members: dict[bytes, None] = {}  # table bytes, in clone order
     terms: list[Term] = []  # derivations, in clone order
 
     def keep(block: np.ndarray) -> tuple[list[int], bool]:
@@ -212,28 +207,27 @@ def generate_ternary_clone(
         ``until_maltsev``, once a Mal'tsev member is kept."""
         rows = block.view(row_type).ravel().tolist()  # one bytes per row
         first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))  # row -> first j
-        new = sorted(map(first.__getitem__, first.keys() - seen))
-        stop = len(keys) + len(new) > budget
-        del new[budget + 1 - len(keys) :]  # one member past the budget marks the cut
+        new = sorted(map(first.__getitem__, first.keys() - members))
+        stop = len(members) + len(new) > budget
+        del new[budget + 1 - len(members) :]  # one member past the budget marks the cut
         if until_maltsev and new:
-            marks = block.take(columns, axis=1).view(mark_type).ravel().tolist()
-            if identity in marks:  # the first such row is new: no kept member is one
-                del new[bisect.bisect_right(new, marks.index(identity)) :]
+            ok = (block.take(new, 0).take(columns, 1) == values).all(1).tolist()
+            if True in ok:
+                del new[ok.index(True) + 1 :]
                 stop = True
-        keys.extend(map(rows.__getitem__, new))
-        seen.update(keys[len(keys) - len(new) :])
+        members.update(dict.fromkeys(map(rows.__getitem__, new)))
         return new, stop
 
     def result(complete: bool) -> CloneResult:
-        tables = np.frombuffer(b"".join(keys[:budget]), dtype).reshape(-1, m)
+        tables = np.frombuffer(b"".join(itertools.islice(members, budget)), dtype).reshape(-1, m)
         return CloneResult(n, tables, tuple(terms[:budget]), complete, budget)
 
     new, stop = keep(np.indices((n, n, n), dtype).reshape(3, m))
     terms.extend("xyz"[j] for j in new)
     start = 0
-    while not stop and start < len(keys):
-        end = len(keys)
-        tables = np.frombuffer(b"".join(keys), dtype).reshape(end, m)
+    while not stop and start < len(members):
+        end = len(members)
+        tables = np.frombuffer(b"".join(members), dtype).reshape(end, m)
         for op, arity in a.sig.ops:
             f = a.table_array(op).astype(dtype)
             for block, args_of in _blocks(f, arity, tables, start):

@@ -325,6 +325,15 @@ class TestJson:
                 '{"name": "a", "size": 2, "operations": [{"name": "f", "arity": 1, "table": [false, 1]}]}',
                 "#0",
             ),
+            # operation names are JSON strings
+            *(
+                (
+                    '{"name": "a", "size": 2, "operations": '
+                    f'[{{"name": {name}, "arity": 1, "table": [0, 1]}}]}}',
+                    "name is not a string",
+                )
+                for name in ("[1]", '{"a": 1}', "5", "null")
+            ),
         ],
     )
     def test_validation_names_offender(self, doc, fragment):
