@@ -18,6 +18,7 @@ from .relations import (
     Carrier,
     Relation,
     ShapeError,
+    _is_int,
     is_reflexive,
     leq,
     meet,
@@ -29,6 +30,7 @@ __all__ = [
     "Signature",
     "Algebra",
     "AlgebraParseError",
+    "PreconditionError",
     "PairedObject",
     "MAX_ARITY",
     "evaluate",
@@ -50,6 +52,10 @@ class AlgebraParseError(ValueError):
     """An algebra file is malformed."""
 
 
+class PreconditionError(ValueError):
+    """A check was called outside its contract (e.g. R ^ S not below T)."""
+
+
 @dataclass(frozen=True)
 class Signature:
     """Operation names with their arities (constants through ternary)."""
@@ -57,12 +63,17 @@ class Signature:
     ops: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        for name, arity in self.ops:
+            if not isinstance(name, str):
+                raise ValueError(f"operation name is not a string: {name!r}")
+            if not (_is_int(arity) and 0 <= arity <= MAX_ARITY):
+                raise ValueError(
+                    f"operation {name!r}: arity {arity!r} is not an integer in 0..{MAX_ARITY}"
+                )
         names = [name for name, _ in self.ops]
         if len(names) != len(set(names)):
             raise ValueError("duplicate operation names")
-        for name, arity in self.ops:
-            if not 0 <= arity <= MAX_ARITY:
-                raise ValueError(f"operation {name!r}: arity {arity} not in 0..{MAX_ARITY}")
+        object.__setattr__(self, "ops", tuple((name, int(arity)) for name, arity in self.ops))
 
     def arity(self, name: str) -> int:
         for n, a in self.ops:
@@ -97,14 +108,20 @@ class Algebra:
                 raise ValueError(
                     f"operation {op!r}: table length {len(table)}, expected {n**arity}"
                 )
-            if any(not (0 <= v < n) for v in table):
-                raise ValueError(f"operation {op!r}: table entry out of range")
+            # loops in C: a table of exact ints skips the per-entry isinstance test
+            ints = set(map(type, table)) <= {int} or all(map(_is_int, table))
+            if not (ints and 0 <= min(table) and max(table) < n):
+                i = next(i for i, v in enumerate(table) if not (_is_int(v) and 0 <= v < n))
+                raise ValueError(
+                    f"operation {op!r}: table entry #{i} = {table[i]!r} out of range "
+                    f"(not an integer in 0..{n - 1})"
+                )
             arrays[op] = np.asarray(table, dtype=np.intp).reshape((n,) * arity)
             arrays[op].setflags(write=False)
         self.name = name
         self.carrier = carrier
         self.sig = sig
-        self.tables = {op: tuple(tables[op]) for op, _ in sig.ops}
+        self.tables = {op: tuple(arrays[op].ravel().tolist()) for op, _ in sig.ops}
         self._arrays = arrays
 
     @property
@@ -310,10 +327,8 @@ class PairedObject:
     e1 and e2 are the coordinate projections pair-index -> base element.
     """
 
-    base: Algebra
     relation: Relation
     pairs: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int] = field(compare=False, repr=False)
     first: np.ndarray = field(compare=False, repr=False)
     second: np.ndarray = field(compare=False, repr=False)
 
@@ -328,15 +343,18 @@ class PairedObject:
         return self.pairs[i][1]
 
 
-def as_paired_object(a: Algebra, e: Relation) -> PairedObject:
+def _require_reflexive_compatible(a: Algebra, e: Relation) -> None:
+    """Raise PreconditionError unless E is a reflexive compatible relation on A."""
     if not is_reflexive(e):
-        raise ValueError("relation must be reflexive")
+        raise PreconditionError("E must be reflexive")
     if not is_compatible(a, e):
-        raise ValueError("relation must be compatible")
+        raise PreconditionError("E must be compatible")
+
+
+def as_paired_object(a: Algebra, e: Relation) -> PairedObject:
+    _require_reflexive_compatible(a, e)
     first, second = np.nonzero(e.members)
-    pairs = tuple(zip(first.tolist(), second.tolist()))
-    index = {p: i for i, p in enumerate(pairs)}
-    return PairedObject(a, e, pairs, index, first, second)
+    return PairedObject(e, tuple(zip(first.tolist(), second.tolist())), first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +379,8 @@ def algebra_to_json(a: Algebra) -> str:
 
 
 def algebra_from_json(text: str) -> Algebra:
+    """Parse an algebra document, checking only its shape; the constructors
+    check sizes, names, arities and table entries."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -370,35 +390,17 @@ def algebra_from_json(text: str) -> Algebra:
     for key in ("name", "size", "operations"):
         if key not in doc:
             raise AlgebraParseError(f"missing key {key!r}")
-    n = doc["size"]
-    # type(...) is int, not isinstance: JSON true and false load as bools, an int subclass
-    if not (type(n) is int and n >= 1):
-        raise AlgebraParseError("size must be a positive integer")
     if not isinstance(doc["operations"], list):
         raise AlgebraParseError("operations must be a list")
-    ops: list[tuple[str, int]] = []
-    tables: dict[str, tuple[int, ...]] = {}
     for spec in doc["operations"]:
         if not isinstance(spec, dict) or not {"name", "arity", "table"} <= set(spec):
             raise AlgebraParseError(f"malformed operation entry: {spec!r}")
-        opname, arity, table = spec["name"], spec["arity"], spec["table"]
-        if not isinstance(opname, str):
-            raise AlgebraParseError(f"operation name is not a string: {spec!r}")
-        if not (type(arity) is int and 0 <= arity <= MAX_ARITY):
-            raise AlgebraParseError(f"operation {opname!r}: bad arity {arity!r}")
-        if not isinstance(table, list) or len(table) != n**arity:
-            raise AlgebraParseError(
-                f"operation {opname!r}: table length "
-                f"{len(table) if isinstance(table, list) else '?'}, expected {n**arity}"
-            )
-        for i, v in enumerate(table):
-            if not (type(v) is int and 0 <= v < n):
-                raise AlgebraParseError(
-                    f"operation {opname!r}: table entry #{i} = {v!r} out of range"
-                )
-        ops.append((opname, arity))
-        tables[opname] = tuple(table)
+        if not isinstance(spec["table"], list):
+            raise AlgebraParseError(f"operation {spec['name']!r}: table is not a list")
     try:
-        return Algebra(str(doc["name"]), Carrier(n), Signature(tuple(ops)), tables)
+        carrier = Carrier(doc["size"])
+        sig = Signature(tuple((spec["name"], spec["arity"]) for spec in doc["operations"]))
+        tables = {spec["name"]: spec["table"] for spec in doc["operations"]}
+        return Algebra(str(doc["name"]), carrier, sig, tables)
     except ValueError as e:
         raise AlgebraParseError(str(e)) from e

@@ -18,10 +18,11 @@ import numpy as np
 
 from .algebras import (
     Algebra,
+    PreconditionError,
     _close_between,
     _is_compatible_between,
+    _require_reflexive_compatible,
     all_congruences,
-    is_compatible,
 )
 from .relations import (
     Relation,
@@ -30,7 +31,6 @@ from .relations import (
     is_difunctional,
     is_equivalence,
     is_positive,
-    is_reflexive,
     leq,
     meet,
     opposite,
@@ -39,7 +39,6 @@ from .relations import (
 __all__ = [
     "RelationClass",
     "SLResult",
-    "PreconditionError",
     "BudgetError",
     "DEFAULT_ENUM_BUDGET",
     "resolve_budget",
@@ -56,10 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 1 << 16
-
-
-class PreconditionError(ValueError):
-    """A check was called outside its contract (e.g. R ^ S not below T)."""
 
 
 class BudgetError(RuntimeError):
@@ -161,9 +156,6 @@ def shifting_principle_reduction(r: Relation, s: Relation, t: Relation) -> bool:
     Always true (shrinking T to R ^ T only strengthens the conclusion);
     exposed so the reduction can be tested rather than assumed.
     """
-    _common_carrier(r, s, t)
-    if not leq(meet(r, s), t):
-        raise PreconditionError("R ^ S <= T fails")
     inner = shifting_lemma(r, s, meet(r, t))
     if not inner.holds:
         return True
@@ -351,10 +343,7 @@ def ee_properties(a: Algebra, e: Relation, *, sweep: bool | str | None = None) -
     and is not computed again; otherwise it is
     ``reflexive_positive_all_equivalence(a)`` under the default budget.
     """
-    if not is_reflexive(e):
-        raise PreconditionError("E must be reflexive")
-    if not is_compatible(a, e):
-        raise PreconditionError("E must be compatible")
+    _require_reflexive_compatible(a, e)
     ee_op = compose(e, opposite(e))
     op_ee = compose(opposite(e), e)
     return {

@@ -8,7 +8,8 @@ the exit code.  The codes are a stable contract:
   0  property holds / object found / suite completed
   1  property violated / no witness / term not found
   2  error: click's usage errors, missing files, parse, shape, precondition
-     and budget errors, a failed suite record, or anything unexpected;
+     and budget errors, a failed suite record, a closed stdout, or anything
+     unexpected;
      the document is then {"error": message}
   3  inconclusive (enumeration or clone budget exceeded)
 
@@ -21,6 +22,7 @@ that is not a positive integer is a usage error.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import sys
 from typing import Callable, TypeVar
@@ -107,8 +109,13 @@ class _Contract(click.Group):
             message = _error_message(e)
             print(message, file=sys.stderr)
             document, code = {"error": message}, EXIT_ERROR
-        # a witness document arrives already serialised, indented
-        print(document if isinstance(document, str) else json.dumps(document))
+        try:
+            # a witness document arrives already serialised, indented
+            print(document if isinstance(document, str) else json.dumps(document))
+            sys.stdout.flush()
+        except BrokenPipeError:  # stdout closed early: exit 2; devnull spares the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = EXIT_ERROR
         sys.exit(code)
 
 

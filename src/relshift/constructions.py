@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import Algebra, PairedObject, as_paired_object, is_compatible
-from .relations import Relation, compose, is_equivalence, is_reflexive, opposite
+from .algebras import Algebra, PairedObject, _require_reflexive_compatible, as_paired_object
+from .relations import Relation, compose, is_equivalence, opposite
 
 __all__ = [
     "SLInstance",
@@ -95,24 +95,15 @@ def maltsev_sl_witness(a: Algebra, e: Relation) -> SLInstance:
     projection; the quadruple is (xEy, xEx, yEy, xEx) for the
     lexicographically least (x, y) in E with (y, x) not in E.
     """
-    if not is_reflexive(e):
-        raise ValueError("E must be reflexive")
-    if not is_compatible(a, e):
-        raise ValueError("E must be compatible")
+    p = as_paired_object(a, e)
     asym = np.argwhere(e.members & ~e.members.T)
     if len(asym) == 0:
         raise NoWitnessError("E is symmetric: no witness exists")
     x, y = (int(v) for v in asym[0])
-    p = as_paired_object(a, e)
-    r = build_R(p)
-    s = kernel_pair(p, 2)
-    t = build_T(p)
-    i_xy = p.index[(x, y)]
-    i_xx = p.index[(x, x)]
-    i_yy = p.index[(y, y)]
+    i_xy, i_xx, i_yy = (p.pairs.index(q) for q in ((x, y), (x, x), (y, y)))
     return SLInstance(
         kind="maltsev",
-        relations=(r, s, t),
+        relations=(build_R(p), kernel_pair(p, 2), build_T(p)),
         quadruple=(i_xy, i_xx, i_yy, i_xx),
         base_algebra=a.name,
         seed_relation=e,
@@ -161,10 +152,7 @@ def goursat_sl_witness(a: Algebra, e: Relation) -> SLInstance:
     E-op E.  When only the other inclusion fails, E-op (also reflexive and
     compatible) is used in place of E.
     """
-    if not is_reflexive(e):
-        raise ValueError("E must be reflexive")
-    if not is_compatible(a, e):
-        raise ValueError("E must be compatible")
+    _require_reflexive_compatible(a, e)
     for cand in (e, opposite(e)):
         ee_op = compose(cand, opposite(cand))
         op_ee = compose(opposite(cand), cand)

@@ -146,7 +146,7 @@ def _witness_record(a: Algebra, kind: str, e: Relation) -> dict:
 def _algebra_record(a: Algebra, budget: int | None) -> dict:
     rec: dict = {"size": a.size}
 
-    clone = generate_ternary_clone(a, until_maltsev=True)
+    clone = generate_ternary_clone(a, budget, until_maltsev=True)
     maltsev = _maltsev_term(clone)
     threeperm = _3perm_terms(clone)
     rec["terms"] = {

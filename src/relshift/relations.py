@@ -14,8 +14,9 @@ All call sites in this package respect this right-to-left convention.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +46,11 @@ __all__ = [
 ]
 
 
+def _is_int(v: object) -> bool:
+    """Whether ``v`` is an integer, a numpy one too, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 class ShapeError(ValueError):
     """Carriers of the operands do not line up."""
 
@@ -60,8 +66,9 @@ class Carrier:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"carrier size must be >= 1, got {self.size}")
+        if not (_is_int(self.size) and self.size >= 1):
+            raise ValueError(f"carrier size must be a positive integer, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))  # a numpy integer, as a JSON-ready int
 
     def elements(self) -> range:
         return range(self.size)
@@ -98,9 +105,12 @@ class Relation:
         cls, dom: Carrier, cod: Carrier, pairs: Iterable[tuple[int, int]]
     ) -> "Relation":
         m = np.zeros((dom.size, cod.size), dtype=bool)
-        for x, y in pairs:
-            if not (0 <= x < dom.size and 0 <= y < cod.size):
-                raise ValueError(f"pair ({x}, {y}) out of range")
+        for i, (x, y) in enumerate(pairs):
+            if not (_is_int(x) and _is_int(y) and 0 <= x < dom.size and 0 <= y < cod.size):
+                raise ValueError(
+                    f"pair #{i} = ({x!r}, {y!r}) is not a pair of integers in range "
+                    f"for {dom.size}x{cod.size}"
+                )
             m[x, y] = True
         return cls(dom, cod, m)
 
@@ -278,8 +288,8 @@ def relation_to_json(r: Relation) -> str:
 
 
 def relation_from_json(text: str) -> Relation:
-    """Parse a relation document.  Duplicate pairs are tolerated; indices
-    out of range are reported with the offending pair's position."""
+    """Parse a relation document.  Duplicate pairs are tolerated; the
+    carriers and pairs are checked by ``Carrier`` and ``Relation.from_pairs``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -289,24 +299,16 @@ def relation_from_json(text: str) -> Relation:
     for key in ("dom", "cod", "pairs"):
         if key not in doc:
             raise RelationParseError(f"missing key {key!r}")
-    n, m = doc["dom"], doc["cod"]
-    # type(...) is int, not isinstance: JSON true and false load as bools, an int subclass
-    if not (type(n) is int and type(m) is int and n >= 1 and m >= 1):
-        raise RelationParseError("dom and cod must be positive integers")
     if not isinstance(doc["pairs"], list):
         raise RelationParseError("pairs must be a list")
-    mat = np.zeros((n, m), dtype=bool)
     for i, pair in enumerate(doc["pairs"]):
-        if (
-            not isinstance(pair, Sequence)
-            or len(pair) != 2
-            or not all(type(v) is int for v in pair)
-        ):
-            raise RelationParseError(f"pair #{i} is not a pair of integers: {pair!r}")
-        x, y = pair
-        if not (0 <= x < n and 0 <= y < m):
-            raise RelationParseError(
-                f"pair #{i} = ({x}, {y}) out of range for {n}x{m}"
-            )
-        mat[x, y] = True
-    return Relation(Carrier(n), Carrier(m), mat)
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise RelationParseError(f"pair #{i} is not a 2-element list: {pair!r}")
+    try:
+        dom, cod = Carrier(doc["dom"]), Carrier(doc["cod"])
+    except ValueError as e:
+        raise RelationParseError(f"dom and cod: {e}") from e
+    try:
+        return Relation.from_pairs(dom, cod, doc["pairs"])
+    except ValueError as e:
+        raise RelationParseError(str(e)) from e

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relshift.algebras import (
     Algebra,
@@ -29,6 +31,8 @@ from relshift.relations import (
     is_equivalence,
     leq,
     meet,
+    relation_from_json,
+    relation_to_json,
 )
 
 from test_relations import partition_to_relation, partitions
@@ -339,3 +343,80 @@ class TestJson:
     def test_validation_names_offender(self, doc, fragment):
         with pytest.raises(AlgebraParseError, match=fragment):
             algebra_from_json(doc)
+
+
+def unary(table):
+    return Algebra("a", Carrier(2), Signature((("f", 1),)), {"f": table})
+
+
+# integers around the valid ranges, and the bools that Python counts as integers
+ints_or_bools = st.integers(-1, 3) | st.booleans()
+
+
+@st.composite
+def algebra_arguments(draw):
+    """Constructor arguments, valid or not; table lengths mostly fit."""
+    size = draw(ints_or_bools)
+    ops = draw(st.lists(st.tuples(st.text(max_size=2), ints_or_bools), max_size=3))
+    tables = {}
+    for name, arity in ops:
+        length = size**arity if size >= 1 and 0 <= arity <= 3 else draw(st.integers(0, 3))
+        tables[name] = tuple(draw(st.lists(ints_or_bools, min_size=length, max_size=length)))
+    return draw(st.text(max_size=3)), size, tuple(ops), tables
+
+
+class TestValidation:
+    """Each input rule lives in the constructor of the value it describes;
+    the JSON readers check only the document's shape."""
+
+    @pytest.mark.parametrize(
+        "build,fragment",
+        [
+            (lambda: Carrier(True), "size"),
+            (lambda: Carrier(2.0), "size"),
+            (lambda: Signature((("f", True),)), "arity"),
+            (lambda: Signature((("f", 1.0),)), "arity"),
+            (lambda: Signature(((["f"], 1),)), "name is not a string"),
+            (lambda: Signature(((None, 1), ("f", 1))), "name is not a string"),
+            (lambda: unary((0, True)), "#1"),
+            (lambda: unary((False, 1)), "#0"),
+            (lambda: unary((0, 2)), "#1"),
+            (lambda: unary((0, -1)), "#1"),
+            (lambda: unary((0, 1.0)), "#1"),
+            (lambda: unary((0, np.True_)), "#1"),
+            (lambda: Relation.from_pairs(Carrier(2), Carrier(2), [(True, 0)]), "pair #0"),
+            (lambda: Relation.from_pairs(Carrier(2), Carrier(2), [(0, 0), (0, 2)]), "pair #1"),
+        ],
+    )
+    def test_constructors_reject(self, build, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        for dtype in (np.int64, np.uint8, np.intp):
+            table = tuple(np.array([1, 0], dtype=dtype))
+            a = Algebra("a", Carrier(dtype(2)), Signature((("f", dtype(1)),)), {"f": table})
+            assert a.size == 2 and a.sig.ops == (("f", 1),) and a.tables == {"f": (1, 0)}
+            assert all(type(v) is int for v in (a.size, a.sig.ops[0][1], *a.tables["f"]))
+            b = algebra_from_json(algebra_to_json(a))
+            assert (b.carrier, b.sig, b.tables) == (a.carrier, a.sig, a.tables)
+
+    @settings(max_examples=300, deadline=None)
+    @given(algebra_arguments())
+    def test_accepted_algebras_survive_json(self, args):
+        name, size, ops, tables = args
+        try:
+            a = Algebra(name, Carrier(size), Signature(ops), tables)
+        except ValueError:
+            return
+        b = algebra_from_json(algebra_to_json(a))
+        assert (b.name, b.carrier, b.sig, b.tables) == (a.name, a.carrier, a.sig, a.tables)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ints_or_bools, ints_or_bools, st.lists(st.tuples(ints_or_bools, ints_or_bools), max_size=5))
+    def test_accepted_relations_survive_json(self, dom, cod, pairs):
+        try:
+            r = Relation.from_pairs(Carrier(dom), Carrier(cod), pairs)
+        except ValueError:
+            return
+        assert relation_from_json(relation_to_json(r)) == r

@@ -27,6 +27,7 @@ from relshift.constructions import maltsev_sl_witness
 from relshift.relations import (
     Carrier,
     Relation,
+    ShapeError,
     diagonal,
     full,
     is_equivalence,
@@ -139,6 +140,15 @@ class TestShiftingPrincipleReduction:
         r = Relation(Carrier(3), Carrier(3), rng.random((3, 3)) < 0.5)
         s = Relation(Carrier(3), Carrier(3), rng.random((3, 3)) < 0.5)
         assert shifting_principle_reduction(r, s, full(Carrier(3)))
+
+    def test_contract_enforced_by_shifting_lemma(self):
+        n = Carrier(2)
+        with pytest.raises(PreconditionError):
+            shifting_principle_reduction(full(n), full(n), diagonal(n))
+        with pytest.raises(ShapeError):
+            shifting_principle_reduction(full(n), full(n), full(Carrier(3)))
+        with pytest.raises(ShapeError):
+            shifting_principle_reduction(full(n), full(Carrier(3)), full(n))
 
     def test_never_falsified_on_random_triples(self):
         rng = np.random.default_rng(36)

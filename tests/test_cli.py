@@ -1,12 +1,17 @@
 """Command-line contract: JSON on stdout, stable exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import relshift
 from relshift import cli, harness
 from relshift.algebras import Algebra, Signature, algebra_to_json
 from relshift.cli import main
@@ -428,6 +433,24 @@ class TestContract:
         code, doc = run(runner, args)
         assert code == 2
         assert set(doc) == {"error"}
+
+    def test_closed_stdout_exits_2(self, files):
+        # a reader that closes the pipe before the document is written
+        src = str(pathlib.Path(relshift.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "relshift.cli", "validate", "--file", files["z2"]],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
 
     def test_unexpected_exception(self, runner, files, monkeypatch):
         def boom(a):

@@ -90,6 +90,13 @@ def report():
 
 
 class TestSuite:
+    def test_budget_reaches_term_searches(self):
+        z3 = bundled_corpus()["z3"]
+        rec = run_suite({"z3": z3}, budget=4)["algebras"]["z3"]
+        assert rec["shifting_lemma"]["refl,refl,refl"]["verdict"] == "inconclusive"
+        assert rec["terms"]["maltsev"]["status"] == "inconclusive"
+        assert rec["terms"]["threeperm"]["status"] == "inconclusive"
+
     def test_schema_and_shape(self, report):
         assert report["schema"] == SCHEMA
         assert report["seed"] == 7
