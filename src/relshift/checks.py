@@ -184,25 +184,37 @@ def resolve_budget(budget: int | None, default: int) -> int:
 def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
     """Compatible relations A -> B containing ``base``, lexicographic.
 
-    Found as closures: the closure of ``base``, then the closure of each
-    relation found with one missing pair added, until no new relation
-    appears.  The budget still counts the 2^k candidates, k the positions
-    outside ``base``, and refuses before any closure runs.
+    Found as joins of principal closures: with S the closure of ``base``,
+    each pair missing from S is closed once into P = Sg(S + pair), and
+    each relation m found grows by the closure of m | P over the distinct
+    P only, skipping a union already tried or already found.  As m
+    contains S, Sg(m + pair) = Sg(m | P), so these are the relations that
+    adding one pair at a time would find.  The budget still counts the
+    2^k candidates, k the positions outside ``base``, and refuses before
+    any closure runs.
     """
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     k = int(np.count_nonzero(~base))
     if 2**k > budget:
         raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
     start = _close_between(a, b, base.copy())
+    principals = {}
+    for x, y in zip(*np.nonzero(~start)):
+        p = start.copy()
+        p[x, y] = True
+        principals.setdefault(_close_between(a, b, p).tobytes(), p)
     found = {start.tobytes(): start}
+    tried = set()
     todo = [start]
     while todo:
         m = todo.pop()
-        for x, y in zip(*np.nonzero(~m)):
-            grown = m.copy()
-            grown[x, y] = True
-            _close_between(a, b, grown)
+        for p in principals.values():
+            grown = m | p
             key = grown.tobytes()
+            if key in found or key in tried:
+                continue
+            tried.add(key)
+            key = _close_between(a, b, grown).tobytes()
             if key not in found:
                 found[key] = grown
                 todo.append(grown)
@@ -210,14 +222,14 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     for rel in out:
         if not _is_compatible_between(a, b, rel):
             raise RuntimeError(f"closure enumeration kept an incompatible relation {rel.pairs()}")
-    return sorted(out, key=lambda r: r.pairs())
+    return sorted(out, key=lambda r: np.flatnonzero(r.members).tolist())
 
 
 def enumerate_compatible_relations(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> list[Relation]:
     """All compatible relations A -> B (subalgebras of A x B), lexicographic,
-    found as closures.
+    found as joins of principal closures.
 
     Raises BudgetError, before any closure runs, when the 2**(|A| * |B|)
     candidate relations exceed the budget; the budget still counts every

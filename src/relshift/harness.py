@@ -22,6 +22,7 @@ from . import __version__
 from .algebras import (
     Algebra,
     AlgebraParseError,
+    PairedObject,
     _is_modular,
     algebra_from_json,
     all_congruences,
@@ -110,7 +111,11 @@ def box_join_replay(a: Algebra, s: Relation, r: Relation, t: Relation) -> bool:
     """Replay of the box/W supremum identity used in the Goursat argument:
     with B = (R box S) ^ Eq(s2) and W built from T and R on the S-pairs,
     checks B W B = W B W.  Meaningful on 3-permutable algebras only."""
-    p = as_paired_object(a, s)
+    return _box_join(as_paired_object(a, s), r, t)
+
+
+def _box_join(p: PairedObject, r: Relation, t: Relation) -> bool:
+    """``box_join_replay`` on the pair object ``p`` of S."""
     box = build_box(r, p)
     w = build_W(t, r, p)
     b = meet(box, kernel_pair(p, 2))
@@ -211,8 +216,8 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     # box/W supremum replay, meaningful only where the 3-perm terms exist
     if threeperm.found and refl:
         replay_ok = all(
-            box_join_replay(a, s, r, t)
-            for s in refl
+            _box_join(p, r, t)
+            for p in (as_paired_object(a, s) for s in refl)
             for r in cons
             for t in cons
         )

@@ -24,6 +24,7 @@ from relshift.checks import (
     shifting_principle_reduction,
 )
 from relshift.constructions import maltsev_sl_witness
+from relshift.harness import bundled_corpus
 from relshift.relations import (
     Carrier,
     Relation,
@@ -255,6 +256,24 @@ class TestEnumeration:
         refl, eq = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE
         shifting_lemma_forall(semilattice2(), refl, eq, refl)
         assert seen == [refl, eq]
+
+    @pytest.mark.parametrize("name, most, one_pair_search", [
+        ("n5_unary", 97, 577),
+        ("z4", 73, 166),
+    ])
+    def test_closures_per_arbitrary_enumeration(self, monkeypatch, name, most, one_pair_search):
+        # closing each (relation, missing pair) took `one_pair_search` closures;
+        # joins of distinct principal closures take at most `most`
+        calls = []
+
+        def counting(a, b, m):
+            calls.append(None)
+            return close(a, b, m)
+
+        close = checks._close_between
+        monkeypatch.setattr(checks, "_close_between", counting)
+        enumerate_compatible_relations(bundled_corpus()[name])
+        assert len(calls) <= most < one_pair_search
 
     def test_arbitrary_includes_empty(self):
         free2 = Algebra("set2", Carrier(2), Signature(()), {})

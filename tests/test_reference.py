@@ -12,14 +12,17 @@ the operations, symmetry and transitivity until it stopped changing, then
 joined every two congruences found in each round, and the Shifting Lemma
 kernel that built the (n, n, n, n) tensor of premises.  The single bitmask
 loop that replaced the enumeration loops is kept as well, and checks the
-closure enumeration on 4-element carriers, where the random algebras do
-not reach.  They stay here as oracles for the shared kernel, the closure
-enumeration, the vectorized builders, the block-wise clone and the
-union-find congruences and the relational Shifting Lemma check in
-``relshift``, checked on random algebras with 1-3 elements and operations
-of arity 0-3, on pinned bundled, cyclic and seeded unary algebras, on
-random reflexive relations and random relation triples, and on the
-witnesses built from a seeded unary algebra.
+enumeration on the bundled 4-element carriers, where the random algebras
+do not reach; so is the closure search that closed every relation found
+with each missing pair added, which checks the search by joins of
+distinct principal closures, order included, on seeded 4-element
+algebras, where the 2^16 bitmask loop is too slow.  They stay here as
+oracles for the shared kernel, the enumeration, the vectorized builders,
+the block-wise clone, the union-find congruences and the relational
+Shifting Lemma check in ``relshift``, checked on random algebras with 1-3
+elements and operations of arity 0-3, on pinned bundled, cyclic and
+seeded algebras, on random reflexive relations and random relation
+triples, and on the witnesses built from a seeded unary algebra.
 """
 
 import itertools
@@ -34,6 +37,7 @@ from relshift.algebras import (
     MAX_ARITY,
     Algebra,
     Signature,
+    _close_between,
     _is_compatible_between,
     all_congruences,
     as_paired_object,
@@ -180,6 +184,31 @@ def ref_brute_force(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None
         rel = Relation(a.carrier, b.carrier, m)
         if _is_compatible_between(a, b, rel):
             out.append(rel)
+    return sorted(out, key=lambda r: r.pairs())
+
+
+def ref_closure_search(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
+    """Compatible relations A -> B containing ``base``, lexicographic: the
+    closure of ``base``, then the closure of each relation found with one
+    missing pair added, until no new relation appears."""
+    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+    k = int(np.count_nonzero(~base))
+    if 2**k > budget:
+        raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
+    start = _close_between(a, b, base.copy())
+    found = {start.tobytes(): start}
+    todo = [start]
+    while todo:
+        m = todo.pop()
+        for x, y in zip(*np.nonzero(~m)):
+            grown = m.copy()
+            grown[x, y] = True
+            _close_between(a, b, grown)
+            key = grown.tobytes()
+            if key not in found:
+                found[key] = grown
+                todo.append(grown)
+    out = [Relation(a.carrier, b.carrier, m) for m in found.values()]
     return sorted(out, key=lambda r: r.pairs())
 
 
@@ -509,11 +538,36 @@ def test_congruences_match_reference(a):
     assert_congruences_match_reference(a)
 
 
-def unary_algebra(n, k, seed):
+def seeded_algebra(n, arities, seed):
     rng = np.random.default_rng(seed)
-    sig = Signature(tuple((f"f{i}", 1) for i in range(k)))
-    tables = {op: tuple(rng.integers(0, n, n).tolist()) for op, _ in sig.ops}
-    return Algebra(f"u{n}_{k}", Carrier(n), sig, tables)
+    sig = Signature(tuple((f"f{i}", k) for i, k in enumerate(arities)))
+    tables = {op: tuple(rng.integers(0, n, n**k).tolist()) for op, k in sig.ops}
+    return Algebra(f"a{n}_{seed}", Carrier(n), sig, tables)
+
+
+def unary_algebra(n, k, seed):
+    return seeded_algebra(n, (1,) * k, seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_arbitrary_enumeration_matches_closure_search_on_four_elements(seed):
+    a = seeded_algebra(4, (1, 1), seed)
+    want = ref_closure_search(a, a, np.zeros((4, 4), dtype=bool), None)
+    assert enumerate_compatible_relations(a) == want
+    assert enumerate_class_relations(a, RelationClass.ARBITRARY) == want
+
+
+# most seeds, 0 among them, give a binary operation whose only reflexive
+# compatible relations are the diagonal and the full relation; the other
+# seeds here give 3 to 65
+@pytest.mark.parametrize("seed", [0, 33, 35, 45, 80, 124, 208])
+def test_reflexive_enumeration_matches_closure_search_on_four_elements(seed):
+    a = seeded_algebra(4, (2, 1), seed)
+    refl = ref_closure_search(a, a, np.eye(4, dtype=bool), None)
+    assert enumerate_class_relations(a, RelationClass.REFLEXIVE) == refl
+    assert enumerate_class_relations(a, RelationClass.REFLEXIVE_POSITIVE) == [
+        r for r in refl if is_positive(r)
+    ]
 
 
 @pytest.mark.parametrize("make", [
