@@ -9,7 +9,7 @@ are the compatible equivalence relations.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +19,8 @@ from .relations import (
     Relation,
     ShapeError,
     _is_int,
+    _transitive_stack,
     is_reflexive,
-    leq,
-    meet,
     transitive_closure,
     union,
 )
@@ -210,58 +209,64 @@ def _translations(a: Algebra) -> list[tuple[int, ...]]:
     ))
 
 
-def _union_find(
-    labels: list[int], pairs: Iterable[tuple[int, int]], maps: list[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Union-find: the least equivalence that contains the partition
-    ``labels`` and ``pairs`` and is closed under the translations ``maps``,
-    given a partition ``labels`` that is closed under them already.
+# The most matrix cells one stack closed by squaring holds: a few MB, so
+# that a lattice of thousands of congruences is closed block by block.
+_STACK_CELLS = 1 << 20
 
-    ``labels`` maps each element to the least element of its block and is
-    updated in place; ``maps`` holds each translation once, as the tuple of
-    its values.  Every pair (u, v) whose union merges two blocks is pushed,
-    and its image (f[u], f[v]) under every map f is merged in turn; a
-    translation maps a chain of pushed pairs to a chain, so these pushed
-    pairs suffice.
-    The result is canonical: each element labelled by its block's least
-    element.
+
+def _blocks(xs: np.ndarray, row_cells: int) -> Iterator[np.ndarray]:
+    """``xs`` as views of consecutive rows, each block making at most
+    _STACK_CELLS cells when one row makes ``row_cells`` (one row at least)."""
+    step = max(1, _STACK_CELLS // row_cells)
+    return (xs[i:i + step] for i in range(0, len(xs), step))
+
+
+def _principal_stack(a: Algebra) -> np.ndarray:
+    """Every principal congruence Cg(u, v), u < v, of A as one boolean stack
+    of shape (pairs, n, n), the pairs in lexicographic order.
+
+    By Mal'cev's lemma Cg(u, v) is the equivalence generated by the pairs
+    {f(u), f(v)} over the compositions f of basic translations.  The pair
+    graph has one node per pair u < v and a sink for the diagonal, reached
+    from every node; each distinct translation f sends {u, v} to
+    {f(u), f(v)}.  Each node gathers the rows of its images under the
+    translations, a block of them at a time, until no row grows.  Read at
+    the node of every (u, v), the rows form a stack of reflexive symmetric
+    relations, closed into equivalences by squaring.
     """
-
-    def find(u: int) -> int:
-        while labels[u] != u:
-            labels[u] = u = labels[labels[u]]
-        return u
-
-    def merge(u: int, v: int) -> bool:
-        u, v = find(u), find(v)
-        if u == v:
-            return False
-        labels[max(u, v)] = min(u, v)
-        return True
-
-    todo = [(u, v) for u, v in pairs if merge(u, v)]
-    while todo:
-        u, v = todo.pop()
-        for f in maps:
-            if merge(f[u], f[v]):
-                todo.append((f[u], f[v]))
-    return tuple(map(find, range(len(labels))))
-
-
-def _congruence(a: Algebra, labels: tuple[int, ...]) -> Relation:
-    """The equivalence whose blocks share a label."""
-    v = np.array(labels)
-    return Relation(a.carrier, a.carrier, v[:, None] == v[None, :])
+    n = a.size
+    us, vs = np.nonzero(np.less.outer(range(n), range(n)))
+    sink = len(us)
+    node = np.full((n, n), sink)
+    node[us, vs] = node[vs, us] = np.arange(sink)
+    maps = np.array(_translations(a), dtype=np.intp).reshape(-1, n)
+    succ = node[maps[:, us], maps[:, vs]]
+    reach = np.eye(sink + 1, dtype=bool)
+    reach[:, sink] = True
+    count = np.count_nonzero(reach)
+    while True:
+        for block in _blocks(succ, (sink + 1) ** 2):
+            reach[:sink] |= reach[block].any(0)
+        count, before = np.count_nonzero(reach), count
+        if count == before:
+            break
+    stack = reach[:sink, node]
+    for block in _blocks(stack, n * n):
+        block[...] = _transitive_stack(block)
+    return stack
 
 
 def principal_congruence(a: Algebra, x: int, y: int) -> Relation:
-    """Least congruence identifying x and y: the blocks of x and y are merged
-    by union-find, then the images of every merged pair under every basic
-    translation, until no union merges two blocks."""
+    """Least congruence identifying x and y: its row of the stack of all
+    principal congruences, which the pair graph of A gives at once."""
     n = a.size
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError(f"elements ({x}, {y}) out of range for size {n}")
-    return _congruence(a, _union_find(list(range(n)), [(x, y)], _translations(a)))
+    if not (_is_int(x) and _is_int(y) and 0 <= x < n and 0 <= y < n):
+        raise ValueError(f"elements ({x!r}, {y!r}) are not integers in range for size {n}")
+    if x == y:
+        return Relation(a.carrier, a.carrier, np.eye(n, dtype=bool))
+    u, v = min(x, y), max(x, y)
+    # the pairs of rows 0..u-1 come first: n-1 + n-2 + ... + n-u of them
+    return Relation(a.carrier, a.carrier, _principal_stack(a)[u * n - u * (u + 1) // 2 + v - u - 1])
 
 
 def congruence_join(r: Relation, s: Relation) -> Relation:
@@ -272,31 +277,42 @@ def congruence_join(r: Relation, s: Relation) -> Relation:
 def all_congruences(a: Algebra) -> list[Relation]:
     """Every congruence of A, as the join closure of the principal ones.
 
-    The principal congruences come from one union-find each over the basic
-    translations, which are built once per call.  Each congruence found is
-    joined with every principal congruence (the join of two congruences is
-    the join of their partitions) until no new one appears; every congruence
-    is a finite join of principal ones, so this reaches all of them.
+    The principal congruences come as one stack from the pair graph of A.
+    Each congruence found is joined with every distinct principal
+    congruence, the frontier of new ones at a time, as stacks of unions
+    closed by squaring, until no join is new; every congruence is a finite join
+    of principal ones, so this reaches all of them.  Congruences are told
+    apart by their canonical labels, each element's least block-mate.
 
     Returned in a deterministic order: sorted by pair list.
     """
     n = a.size
-    maps = _translations(a)
-    principals = list(dict.fromkeys(
-        _union_find(list(range(n)), [(x, y)], maps) for x in range(n) for y in range(x + 1, n)
-    ))
-    found = {tuple(range(n)), *principals}
+    found = {np.arange(n).tobytes(): np.eye(n, dtype=bool)}
+    principals = _new_equivalences(_principal_stack(a), found)
     frontier = principals
-    while frontier:
-        new = []
-        for c in frontier:
-            for p in principals:
-                j = _union_find(list(c), enumerate(p), [])
-                if j not in found:
-                    found.add(j)
-                    new.append(j)
-        frontier = new
-    return sorted((_congruence(a, c) for c in found), key=lambda r: r.pairs())
+    # with at most one principal congruence no join is new
+    while len(principals) > 1 and len(frontier):
+        joins = (
+            _transitive_stack(block[:, None] | principals[None]).reshape(-1, n, n)
+            for block in _blocks(frontier, len(principals) * n * n)
+        )
+        frontier = np.concatenate([_new_equivalences(j, found) for j in joins])
+    return sorted(
+        (Relation(a.carrier, a.carrier, m) for m in found.values()),
+        key=lambda r: np.flatnonzero(r.members).tolist(),
+    )
+
+
+def _new_equivalences(stack: np.ndarray, found: dict[bytes, np.ndarray]) -> np.ndarray:
+    """The equivalences of ``stack`` not in ``found``, each once, as a stack;
+    they are added to ``found`` under their canonical labels."""
+    new = []
+    for m, labels in zip(stack, stack.argmax(-1)):
+        key = labels.tobytes()
+        if key not in found:
+            found[key] = m
+            new.append(m)
+    return np.array(new, dtype=bool).reshape(-1, *stack.shape[1:])
 
 
 def congruence_lattice_is_modular(a: Algebra) -> bool:
@@ -305,16 +321,30 @@ def congruence_lattice_is_modular(a: Algebra) -> bool:
 
 
 def _is_modular(cons: list[Relation]) -> bool:
-    """Modularity of the congruence lattice whose members are ``cons``."""
-    for x in cons:
-        for z in cons:
-            if not leq(x, z):
-                continue
-            for y in cons:
-                left = congruence_join(x, meet(y, z))
-                right = meet(congruence_join(x, y), z)
-                if left != right:
-                    return False
+    """Modularity of the congruence lattice whose members are ``cons``.
+
+    The lattice is indexed once: M[i, j] and J[i, j] are the indices of the
+    meet and of the join of members i and j, and x <= z iff M[x, z] = x.
+    The lattice is modular iff J[x, M[y, z]] = M[J[x, y], z] for every y
+    and every x <= z.  This needs only row x of J, so the rows of J are
+    made block by block, each block's joins closed by squaring as one
+    stack of unions, and the test stops at the first block that fails.
+    """
+    m = np.array([c.members for c in cons])
+    k = len(m)
+    index = {c.tobytes(): i for i, c in enumerate(m)}
+
+    def table(stack: np.ndarray) -> np.ndarray:
+        """The index of every matrix of ``stack`` (rows, k, n, n), as (rows, k)."""
+        keys = (c.tobytes() for c in stack.reshape(-1, *m.shape[1:]))
+        return np.array([index[key] for key in keys]).reshape(-1, k)
+
+    meets = np.concatenate([table(b[:, None] & m[None]) for b in _blocks(m, m.size)])
+    for xs in _blocks(np.arange(k), max(m.size, k * k)):
+        joins = table(_transitive_stack(m[xs, None] | m[None]))
+        below = meets[xs] == xs[:, None]
+        if not ((joins[:, meets] == meets[joins]) | ~below[:, None]).all():
+            return False
     return True
 
 

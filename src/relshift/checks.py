@@ -264,7 +264,13 @@ def shifting_lemma_forall(
     """Shifting Lemma quantified over all compatible relations of the given
     classes on A.  Returns the first violation in lexicographic triple
     order, or "inconclusive" when enumeration would exceed the budget.
-    Each distinct class is enumerated once."""
+    Each distinct class is enumerated once.
+
+    The T relations are stacked once.  For each (R, S), in order, every T
+    is tested at once: the triple counts when R ^ S <= T, and violates the
+    lemma when R ^ T ^ S-op (R ^ not-T) S is not empty, as in
+    ``shifting_lemma``, which is then called on the first such T for the
+    least quadruple."""
     try:
         rels = {
             cls: enumerate_class_relations(a, cls, budget)
@@ -272,11 +278,18 @@ def shifting_lemma_forall(
         }
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
-    for r, s, t in itertools.product(rels[class_r], rels[class_s], rels[class_t]):
-        if not leq(meet(r, s), t):
-            continue
-        res = shifting_lemma(r, s, t)
-        if not res.holds:
+    ts = rels[class_t]
+    t_in = np.array([t.members for t in ts])
+    t_out = ~t_in
+    for r, s in itertools.product(rels[class_r], rels[class_s]):
+        rm = r.members
+        sf = s.members.astype(np.float32)  # BLAS products, as in _transitive_stack
+        gap = (rm & t_out).astype(np.float32)
+        hits = rm & t_in & (sf @ gap @ sf.T > 0)
+        bad = hits.any((1, 2)) & ~(rm & s.members & t_out).any((1, 2))
+        if bad.any():
+            t = ts[int(bad.argmax())]
+            res = shifting_lemma(r, s, t)
             return SLResult("violated", quadruple=res.quadruple, triple=(r, s, t))
     return SLResult("holds")
 

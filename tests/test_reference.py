@@ -9,8 +9,11 @@ each table as a tuple of ints and visited every argument tuple one at a
 time, with the term searches that scanned the clone function by function,
 and the congruence lattice that re-closed each principal congruence under
 the operations, symmetry and transitivity until it stopped changing, then
-joined every two congruences found in each round, and the Shifting Lemma
-kernel that built the (n, n, n, n) tensor of premises.  The single bitmask
+joined every two congruences found in each round, the modularity test
+that formed both sides of the modular law as relations for every triple,
+the quantified Shifting Lemma that ran the single-triple check on every
+triple of relations in turn, and the Shifting Lemma kernel that built
+the (n, n, n, n) tensor of premises.  The single bitmask
 loop that replaced the enumeration loops is kept as well, and checks the
 enumeration on the bundled 4-element carriers, where the random algebras
 do not reach; so is the closure search that closed every relation found
@@ -18,11 +21,15 @@ with each missing pair added, which checks the search by joins of
 distinct principal closures, order included, on seeded 4-element
 algebras, where the 2^16 bitmask loop is too slow.  They stay here as
 oracles for the shared kernel, the enumeration, the vectorized builders,
-the block-wise clone, the union-find congruences and the relational
-Shifting Lemma check in ``relshift``, checked on random algebras with 1-3
-elements and operations of arity 0-3, on pinned bundled, cyclic and
-seeded algebras, on random reflexive relations and random relation
-triples, and on the witnesses built from a seeded unary algebra.
+the block-wise clone, the pair-graph congruences, the join and meet
+tables of the modularity test, the stacked quantified check and the
+relational Shifting Lemma check in ``relshift``, checked on random
+algebras with 1-3 elements and operations of arity 0-3, on random unary
+algebras with 4-6 elements (every congruence lattice on at most 3
+elements is modular), on pinned bundled, cyclic and seeded algebras up
+to the 16 elements of the benchmark's ladder, on random reflexive
+relations and random relation triples, and on the witnesses built from
+a seeded unary algebra.
 """
 
 import itertools
@@ -33,16 +40,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relshift import algebras as algebras_module
 from relshift.algebras import (
     MAX_ARITY,
     Algebra,
     Signature,
     _close_between,
     _is_compatible_between,
+    _is_modular,
     all_congruences,
     as_paired_object,
     compatible_close,
     congruence_join,
+    congruence_lattice_is_modular,
     principal_congruence,
 )
 from relshift.checks import (
@@ -56,6 +66,7 @@ from relshift.checks import (
     enumerate_compatible_relations,
     resolve_budget,
     shifting_lemma,
+    shifting_lemma_forall,
 )
 from relshift.constructions import (
     NoWitnessError,
@@ -64,7 +75,7 @@ from relshift.constructions import (
     goursat_sl_witness,
     maltsev_sl_witness,
 )
-from relshift.harness import bundled_corpus
+from relshift.harness import SUITE_CLASS_COMBOS, bundled_corpus
 from relshift.relations import (
     Carrier,
     Relation,
@@ -399,6 +410,46 @@ def ref_all_congruences(a: Algebra) -> list[Relation]:
     return sorted(found, key=lambda r: r.pairs())
 
 
+def ref_is_modular(cons: list[Relation]) -> bool:
+    """Modularity of the congruence lattice whose members are ``cons``:
+    x v (y ^ z) = (x v y) ^ z for every x <= z and every y."""
+    for x in cons:
+        for z in cons:
+            if not leq(x, z):
+                continue
+            for y in cons:
+                left = congruence_join(x, meet(y, z))
+                right = meet(congruence_join(x, y), z)
+                if left != right:
+                    return False
+    return True
+
+
+def ref_shifting_lemma_forall(
+    a: Algebra,
+    class_r: RelationClass,
+    class_s: RelationClass,
+    class_t: RelationClass,
+    budget: int | None = None,
+) -> SLResult:
+    """The Shifting Lemma over all compatible relations of the given classes:
+    the first triple in lexicographic order with R ^ S <= T that violates it."""
+    try:
+        rels = {
+            cls: enumerate_class_relations(a, cls, budget)
+            for cls in dict.fromkeys((class_r, class_s, class_t))
+        }
+    except BudgetError as e:
+        return SLResult("inconclusive", reason=str(e))
+    for r, s, t in itertools.product(rels[class_r], rels[class_s], rels[class_t]):
+        if not leq(meet(r, s), t):
+            continue
+        res = shifting_lemma(r, s, t)
+        if not res.holds:
+            return SLResult("violated", quadruple=res.quadruple, triple=(r, s, t))
+    return SLResult("holds")
+
+
 def naive_filter(a, b, keep):
     """Every relation A -> B for which keep(rel) holds, lexicographic."""
     cells = list(itertools.product(range(a.size), range(b.size)))
@@ -570,15 +621,122 @@ def test_reflexive_enumeration_matches_closure_search_on_four_elements(seed):
     ]
 
 
+# the sizes of the benchmark's ladder, 5-16 elements, cyclic and unary
 @pytest.mark.parametrize("make", [
     lambda corpus: corpus["n5_unary"],
     lambda corpus: cyclic_group(6),
+    lambda corpus: cyclic_group(8),
     lambda corpus: cyclic_group(12),
+    lambda corpus: cyclic_group(15),
+    lambda corpus: cyclic_group(16),
     lambda corpus: unary_algebra(8, 2, seed=3),
+    lambda corpus: unary_algebra(10, 1, seed=7),
     lambda corpus: unary_algebra(13, 2, seed=13),
-], ids=["n5_unary", "z6", "z12", "unary8", "unary13"])
+    lambda corpus: unary_algebra(16, 2, seed=7),
+    lambda corpus: unary_algebra(16, 2, seed=4),
+], ids=["n5_unary", "z6", "z8", "z12", "z15", "z16", "unary8", "unary10", "unary13",
+        "unary16_seed7", "unary16_seed4"])
 def test_congruences_match_reference_on_larger_algebras(corpus, make):
     assert_congruences_match_reference(make(corpus))
+
+
+@pytest.mark.parametrize("a, count", [
+    (seeded_algebra(1, (0, 1, 2, 3), seed=0), 1),
+    (seeded_algebra(4, (), seed=0), 15),
+    (seeded_algebra(4, (0, 0), seed=1), 15),
+], ids=["one_element", "no_operations", "constants_only"])
+def test_congruence_kernel_edges_match_reference(a, count):
+    # one element: the pair graph has no node; no operation, or constants
+    # only: no translation, so every equivalence, Bell(4) = 15 of them
+    assert len(all_congruences(a)) == count
+    assert_congruences_match_reference(a)
+
+
+def klein_group():
+    """Z2 x Z2, whose congruence lattice is M3: modular, not distributive."""
+    add = tuple(i ^ j for i in range(4) for j in range(4))
+    return Algebra("klein", Carrier(4), Signature((("add", 2), ("neg", 1), ("zero", 0))),
+                   {"add": add, "neg": (0, 1, 2, 3), "zero": (0,)})
+
+
+def assert_modularity_matches_reference(a):
+    cons = all_congruences(a)
+    got = _is_modular(cons)
+    assert got == congruence_lattice_is_modular(a) == ref_is_modular(ref_all_congruences(a))
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(signatures().flatmap(algebras))
+def test_modularity_matches_reference(a):
+    assert_modularity_matches_reference(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 6), st.integers(1, 2), st.integers(0, 2**16))
+def test_modularity_matches_reference_on_unary_algebras(n, k, seed):
+    # every lattice of equivalences on at most 3 elements is modular
+    assert_modularity_matches_reference(unary_algebra(n, k, seed))
+
+
+@pytest.mark.parametrize("name", sorted(bundled_corpus()))
+def test_modularity_matches_reference_on_bundled(corpus, name):
+    assert assert_modularity_matches_reference(corpus[name]) == (name != "n5_unary")
+
+
+def test_congruence_layer_matches_reference_one_row_per_block(monkeypatch):
+    # every stack is then built and closed one row of blocks at a time
+    monkeypatch.setattr(algebras_module, "_STACK_CELLS", 1)
+    for a in (unary_algebra(8, 2, seed=3), cyclic_group(12), bundled_corpus()["n5_unary"]):
+        assert_congruences_match_reference(a)
+        assert_modularity_matches_reference(a)
+
+
+def test_modularity_of_m3():
+    klein = klein_group()
+    assert len(all_congruences(klein)) == 5
+    assert assert_modularity_matches_reference(klein)
+
+
+LAYOUTS = {label: tuple(map(RelationClass.parse, label.split(","))) for label in SUITE_CLASS_COMBOS}
+
+
+def assert_forall_matches_reference(a, classes):
+    got = shifting_lemma_forall(a, *classes)
+    want = ref_shifting_lemma_forall(a, *classes)
+    assert (got.verdict, got.quadruple, got.reason) == (want.verdict, want.quadruple, want.reason)
+    assert got.triple == want.triple
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(signatures().flatmap(algebras))
+def test_quantified_shifting_lemma_matches_reference(a):
+    for classes in LAYOUTS.values():
+        assert_forall_matches_reference(a, classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 6), st.integers(1, 2), st.integers(0, 2**16))
+def test_quantified_shifting_lemma_on_congruences_matches_reference(n, k, seed):
+    assert_forall_matches_reference(unary_algebra(n, k, seed), LAYOUTS["eq,eq,eq"])
+
+
+@pytest.mark.parametrize("name", sorted(bundled_corpus()))
+@pytest.mark.parametrize("label", SUITE_CLASS_COMBOS)
+def test_quantified_shifting_lemma_matches_reference_on_bundled(corpus, name, label):
+    assert_forall_matches_reference(corpus[name], LAYOUTS[label])
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (lambda: bundled_corpus()["n5_unary"], "violated"),
+    (klein_group, "holds"),
+    (lambda: cyclic_group(12), "holds"),
+    (lambda: unary_algebra(8, 2, seed=3), "violated"),
+    (lambda: unary_algebra(16, 2, seed=4), "holds"),
+], ids=["n5_unary", "klein", "z12", "unary8", "unary16"])
+def test_quantified_shifting_lemma_on_congruences_of_larger_algebras(make, verdict):
+    assert assert_forall_matches_reference(make(), LAYOUTS["eq,eq,eq"]).verdict == verdict
 
 
 @settings(max_examples=60, deadline=None)
