@@ -9,7 +9,7 @@ are the compatible equivalence relations.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,9 +140,9 @@ def evaluate(a: Algebra, op: str, args: tuple[int, ...]) -> int:
     if len(args) != arity:
         raise ValueError(f"{op!r} expects {arity} arguments, got {len(args)}")
     for v in args:
-        if not 0 <= v < a.size:
-            raise ValueError(f"argument {v} out of range for size {a.size}")
-    return int(a.table_array(op)[args]) if args else int(a.table_array(op)[()])
+        if not (_is_int(v) and 0 <= v < a.size):
+            raise ValueError(f"argument {v!r} is not an integer in range for size {a.size}")
+    return int(a.table_array(op)[tuple(args)])
 
 
 def is_compatible(a: Algebra, r: Relation) -> bool:
@@ -250,8 +250,13 @@ def _principal_stack(a: Algebra) -> np.ndarray:
         count, before = np.count_nonzero(reach), count
         if count == before:
             break
-    stack = reach[:sink, node]
-    for block in _blocks(stack, n * n):
+    return _squared(reach[:sink, node])
+
+
+def _squared(stack: np.ndarray) -> np.ndarray:
+    """Close every matrix of the boolean stack (..., n, n) transitively, in
+    place, by squaring a block of _STACK_CELLS cells at a time; returns it."""
+    for block in _blocks(stack, stack.shape[-1] ** 2):
         block[...] = _transitive_stack(block)
     return stack
 
@@ -274,45 +279,53 @@ def congruence_join(r: Relation, s: Relation) -> Relation:
     return transitive_closure(union(r, s))
 
 
-def all_congruences(a: Algebra) -> list[Relation]:
-    """Every congruence of A, as the join closure of the principal ones.
+def _joins(bottom: np.ndarray, principals: np.ndarray, close: Callable) -> list[np.ndarray]:
+    """Every member of a closure system of boolean matrices: its least
+    member ``bottom`` and the joins of its principal members, which give
+    all the others.  ``close`` closes a stack in place and returns it; the
+    join of m and p is the closure of m | p.
 
-    The principal congruences come as one stack from the pair graph of A.
-    Each congruence found is joined with every distinct principal
-    congruence, the frontier of new ones at a time, as stacks of unions
-    closed by squaring, until no join is new; every congruence is a finite join
-    of principal ones, so this reaches all of them.  Congruences are told
-    apart by their canonical labels, each element's least block-mate.
-
-    Returned in a deterministic order: sorted by pair list.
+    The distinct principals make the first frontier.  Each frontier is
+    joined with every principal, as stacks of unions in _STACK_CELLS
+    blocks, closing only the unions neither tried nor found, until no
+    join is new.  Returned sorted by flat member positions.
     """
-    n = a.size
-    found = {np.arange(n).tobytes(): np.eye(n, dtype=bool)}
-    principals = _new_equivalences(_principal_stack(a), found)
-    frontier = principals
-    # with at most one principal congruence no join is new
-    while len(principals) > 1 and len(frontier):
-        joins = (
-            _transitive_stack(block[:, None] | principals[None]).reshape(-1, n, n)
-            for block in _blocks(frontier, len(principals) * n * n)
-        )
-        frontier = np.concatenate([_new_equivalences(j, found) for j in joins])
-    return sorted(
-        (Relation(a.carrier, a.carrier, m) for m in found.values()),
-        key=lambda r: np.flatnonzero(r.members).tolist(),
-    )
+    found = {bottom.tobytes(): bottom}
+    tried = set()
+    void = np.dtype((np.void, bottom.size))
+
+    def keys(stack: np.ndarray) -> list[bytes]:
+        """The bytes of every matrix of ``stack``, as the items of one void array."""
+        return np.ascontiguousarray(stack).reshape(-1, bottom.size).view(void).ravel().tolist()
+
+    def new(stack: np.ndarray) -> list[np.ndarray]:
+        """The matrices of ``stack`` not found yet, each once; now found."""
+        fresh = {key: m for key, m in zip(keys(stack), stack) if key not in found}
+        found.update(fresh)
+        return list(fresh.values())
+
+    frontier = new(principals)
+    principals = np.array(frontier)
+    # a single principal joins only with itself
+    while len(principals) > 1 and frontier:
+        grown = []
+        for block in _blocks(np.array(frontier), len(principals) * bottom.size):
+            unions = (block[:, None] | principals[None]).reshape(-1, *bottom.shape)
+            todo = {key: i for i, key in enumerate(keys(unions))
+                    if key not in found and key not in tried}
+            if todo:
+                tried.update(todo)
+                grown += new(close(unions[list(todo.values())]))
+        frontier = grown
+    return sorted(found.values(), key=lambda m: np.flatnonzero(m).tolist())
 
 
-def _new_equivalences(stack: np.ndarray, found: dict[bytes, np.ndarray]) -> np.ndarray:
-    """The equivalences of ``stack`` not in ``found``, each once, as a stack;
-    they are added to ``found`` under their canonical labels."""
-    new = []
-    for m, labels in zip(stack, stack.argmax(-1)):
-        key = labels.tobytes()
-        if key not in found:
-            found[key] = m
-            new.append(m)
-    return np.array(new, dtype=bool).reshape(-1, *stack.shape[1:])
+def all_congruences(a: Algebra) -> list[Relation]:
+    """Every congruence of A, sorted by pair list: the joins of the principal
+    congruences, which come as one stack from the pair graph of A, each
+    join the transitive closure of a union, by squaring."""
+    joins = _joins(np.eye(a.size, dtype=bool), _principal_stack(a), _squared)
+    return [Relation(a.carrier, a.carrier, m) for m in joins]
 
 
 def congruence_lattice_is_modular(a: Algebra) -> bool:

@@ -21,12 +21,14 @@ from .algebras import (
     PreconditionError,
     _close_between,
     _is_compatible_between,
+    _joins,
     _require_reflexive_compatible,
     all_congruences,
 )
 from .relations import (
     Relation,
     ShapeError,
+    _is_int,
     compose,
     is_difunctional,
     is_equivalence,
@@ -44,7 +46,6 @@ __all__ = [
     "resolve_budget",
     "shifting_lemma",
     "shifting_lemma_forall",
-    "shifting_principle_reduction",
     "permutability",
     "enumerate_class_relations",
     "enumerate_compatible_relations",
@@ -150,25 +151,15 @@ def shifting_lemma(r: Relation, s: Relation, t: Relation) -> SLResult:
     return SLResult("violated", quadruple=(x, y, u, v))
 
 
-def shifting_principle_reduction(r: Relation, s: Relation, t: Relation) -> bool:
-    """Whether SL(R, S, R ^ T) holding implies SL(R, S, T) holding here.
-
-    Always true (shrinking T to R ^ T only strengthens the conclusion);
-    exposed so the reduction can be tested rather than assumed.
-    """
-    inner = shifting_lemma(r, s, meet(r, t))
-    if not inner.holds:
-        return True
-    return shifting_lemma(r, s, t).holds
-
-
 def resolve_budget(budget: int | None, default: int) -> int:
     """``budget`` if given, else RELSHIFT_BUDGET if set, else ``default``.
 
-    Raises ValueError unless RELSHIFT_BUDGET is a positive integer.
+    Raises ValueError unless the budget used is a positive integer.
     """
     if budget is not None:
-        return budget
+        if not (_is_int(budget) and budget >= 1):
+            raise ValueError(f"budget must be a positive integer, got {budget!r}")
+        return int(budget)
     env = os.environ.get("RELSHIFT_BUDGET")
     if not env:
         return default
@@ -184,45 +175,32 @@ def resolve_budget(budget: int | None, default: int) -> int:
 def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
     """Compatible relations A -> B containing ``base``, lexicographic.
 
-    Found as joins of principal closures: with S the closure of ``base``,
-    each pair missing from S is closed once into P = Sg(S + pair), and
-    each relation m found grows by the closure of m | P over the distinct
-    P only, skipping a union already tried or already found.  As m
-    contains S, Sg(m + pair) = Sg(m | P), so these are the relations that
-    adding one pair at a time would find.  The budget still counts the
-    2^k candidates, k the positions outside ``base``, and refuses before
-    any closure runs.
+    Found by ``algebras._joins`` from the closure S of ``base`` and the
+    principal closures Sg(S + pair), one for each pair missing from S:
+    every compatible relation above S is the join of the principal ones
+    below it.  Each matrix is closed under every operation applied
+    coordinatewise.  The budget counts the 2^k candidates, k the
+    positions outside ``base``, and refuses before any closure runs.
     """
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     k = int(np.count_nonzero(~base))
     if 2**k > budget:
         raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
+
+    def close(stack: np.ndarray) -> np.ndarray:
+        for m in stack:
+            _close_between(a, b, m)
+        return stack
+
     start = _close_between(a, b, base.copy())
-    principals = {}
-    for x, y in zip(*np.nonzero(~start)):
-        p = start.copy()
-        p[x, y] = True
-        principals.setdefault(_close_between(a, b, p).tobytes(), p)
-    found = {start.tobytes(): start}
-    tried = set()
-    todo = [start]
-    while todo:
-        m = todo.pop()
-        for p in principals.values():
-            grown = m | p
-            key = grown.tobytes()
-            if key in found or key in tried:
-                continue
-            tried.add(key)
-            key = _close_between(a, b, grown).tobytes()
-            if key not in found:
-                found[key] = grown
-                todo.append(grown)
-    out = [Relation(a.carrier, b.carrier, m) for m in found.values()]
+    xs, ys = np.nonzero(~start)
+    principals = np.repeat(start[None], len(xs), axis=0)
+    principals[np.arange(len(xs)), xs, ys] = True
+    out = [Relation(a.carrier, b.carrier, m) for m in _joins(start, close(principals), close)]
     for rel in out:
         if not _is_compatible_between(a, b, rel):
             raise RuntimeError(f"closure enumeration kept an incompatible relation {rel.pairs()}")
-    return sorted(out, key=lambda r: np.flatnonzero(r.members).tolist())
+    return out
 
 
 def enumerate_compatible_relations(

@@ -118,9 +118,13 @@ class Relation:
         """Member pairs in lexicographic order."""
         return [(int(x), int(y)) for x, y in np.argwhere(self.members)]
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
+    def __contains__(self, pair: object) -> bool:
+        """Whether ``pair`` is a member; False for anything that is not a
+        pair of integers in range."""
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))):
+            return False
         x, y = pair
-        return bool(self.members[x, y])
+        return 0 <= x < self.dom.size and 0 <= y < self.cod.size and bool(self.members[x, y])
 
     def __len__(self) -> int:
         return int(self.members.sum())

@@ -18,7 +18,6 @@ from relshift.checks import (
     goursat_identity_all,
     shifting_lemma,
     shifting_lemma_forall,
-    shifting_principle_reduction,
 )
 from relshift.constructions import goursat_sl_witness, maltsev_sl_witness
 from relshift.harness import bundled_corpus, run_suite
@@ -250,7 +249,7 @@ def test_criterion_8_shifting_principle_reduction():
         r = Relation(c4, c4, rng.random((4, 4)) < 0.5)
         s = Relation(c4, c4, rng.random((4, 4)) < 0.5)
         t = union(meet(r, s), Relation(c4, c4, rng.random((4, 4)) < 0.3))
-        ok &= shifting_principle_reduction(r, s, t)
+        ok &= not shifting_lemma(r, s, meet(r, t)).holds or shifting_lemma(r, s, t).holds
     _verdict(8, "shifting-principle reduction", ok, time.monotonic() - t0, 120)
 
 

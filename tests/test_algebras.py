@@ -103,6 +103,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(z2, "add", (0, 2))
 
+    @pytest.mark.parametrize("args", [(True, 1), (0, 1.0), (-1, 0), (0, 2), ("0", 1), (None, 0)])
+    def test_argument_not_an_integer_in_range(self, args):
+        with pytest.raises(ValueError, match="not an integer in range"):
+            evaluate(cyclic_group(2), "add", args)
+
+    def test_numpy_integer_arguments(self):
+        assert evaluate(cyclic_group(3), "add", (np.int64(2), np.uint8(2))) == 1
+
     def test_serialization_round_trip_evaluates(self):
         rng = np.random.default_rng(11)
         table = tuple(int(v) for v in rng.integers(0, 3, size=9))

@@ -21,7 +21,6 @@ from relshift.checks import (
     reflexive_positive_all_equivalence,
     shifting_lemma,
     shifting_lemma_forall,
-    shifting_principle_reduction,
 )
 from relshift.constructions import maltsev_sl_witness
 from relshift.harness import bundled_corpus
@@ -135,32 +134,37 @@ class TestShiftingLemma:
             )
 
 
+def meet_case_implies_full(r, s, t):
+    """Whether SL(R, S, R ^ T) holding implies SL(R, S, T) holding."""
+    return not shifting_lemma(r, s, meet(r, t)).holds or shifting_lemma(r, s, t).holds
+
+
 class TestShiftingPrincipleReduction:
     def test_full_t(self):
         rng = np.random.default_rng(35)
         r = Relation(Carrier(3), Carrier(3), rng.random((3, 3)) < 0.5)
         s = Relation(Carrier(3), Carrier(3), rng.random((3, 3)) < 0.5)
-        assert shifting_principle_reduction(r, s, full(Carrier(3)))
+        assert meet_case_implies_full(r, s, full(Carrier(3)))
 
     def test_contract_enforced_by_shifting_lemma(self):
         n = Carrier(2)
         with pytest.raises(PreconditionError):
-            shifting_principle_reduction(full(n), full(n), diagonal(n))
+            shifting_lemma(full(n), full(n), diagonal(n))
         with pytest.raises(ShapeError):
-            shifting_principle_reduction(full(n), full(n), full(Carrier(3)))
+            shifting_lemma(full(n), full(n), full(Carrier(3)))
         with pytest.raises(ShapeError):
-            shifting_principle_reduction(full(n), full(Carrier(3)), full(n))
+            shifting_lemma(full(n), full(Carrier(3)), full(n))
 
     def test_never_falsified_on_random_triples(self):
         rng = np.random.default_rng(36)
         for _ in range(500):
             r, s, t = random_triple_with_precondition(rng, 4)
-            assert shifting_principle_reduction(r, s, t)
+            assert meet_case_implies_full(r, s, t)
 
     def test_on_violating_witness(self):
         a = semilattice2()
         w = maltsev_sl_witness(a, order2(a))
-        assert shifting_principle_reduction(w.R, w.S, w.T)
+        assert meet_case_implies_full(w.R, w.S, w.T)
 
 
 class TestPermutability:
@@ -258,12 +262,13 @@ class TestEnumeration:
         assert seen == [refl, eq]
 
     @pytest.mark.parametrize("name, most, one_pair_search", [
-        ("n5_unary", 97, 577),
-        ("z4", 73, 166),
+        ("n5_unary", 89, 577),
+        ("z4", 64, 166),
     ])
     def test_closures_per_arbitrary_enumeration(self, monkeypatch, name, most, one_pair_search):
         # closing each (relation, missing pair) took `one_pair_search` closures;
-        # joins of distinct principal closures take at most `most`
+        # joins of distinct principal closures, each principal closed once,
+        # take at most `most`
         calls = []
 
         def counting(a, b, m):
@@ -355,6 +360,28 @@ class TestCharacterizationScans:
         monkeypatch.setattr(checks, "enumerate_class_relations", None)  # not called again
         rec = ee_properties(a, order2(a), sweep=sweep)
         assert rec["reflexive_positive_all_equivalence"] == sweep
+
+
+class TestExplicitBudget:
+    @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 16.0, "16"])
+    def test_not_a_positive_integer_is_refused(self, budget):
+        refl = RelationClass.REFLEXIVE
+        match = "budget must be a positive integer"
+        with pytest.raises(ValueError, match=match):
+            checks.resolve_budget(budget, checks.DEFAULT_ENUM_BUDGET)
+        with pytest.raises(ValueError, match=match):
+            shifting_lemma_forall(bundled_corpus()["n5_unary"], refl, refl, refl, budget=budget)
+        with pytest.raises(ValueError, match=match):
+            difunctional_all(cyclic_group(2), budget=budget)
+        with pytest.raises(ValueError, match=match):
+            find_maltsev_term(cyclic_group(2), budget)
+
+    def test_positive_integer_is_used(self, monkeypatch):
+        monkeypatch.setenv("RELSHIFT_BUDGET", "1")
+        assert checks.resolve_budget(np.int64(16), 1) == 16
+        assert type(checks.resolve_budget(np.int64(16), 1)) is int
+        assert difunctional_all(cyclic_group(2), budget=16).holds
+        assert difunctional_all(cyclic_group(2), budget=15).verdict == "inconclusive"
 
 
 class TestTermImplications:

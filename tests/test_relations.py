@@ -356,3 +356,20 @@ class TestImmutability:
         r = diagonal(Carrier(2))
         with pytest.raises(AttributeError):
             r.dom = Carrier(3)
+
+
+class TestMembership:
+    def test_members_and_non_members(self):
+        r = Relation.from_pairs(Carrier(2), Carrier(3), [(1, 0), (0, 2)])
+        assert (1, 0) in r and (0, 2) in r and (np.int64(1), np.int8(0)) in r
+        assert (0, 0) not in r and (1, 2) not in r
+
+    @pytest.mark.parametrize("pair", [
+        (-1, 0), (0, -1), (2, 0), (1, 3), (True, 0), (1, False), (1.0, 0), ("1", 0),
+        (1,), (1, 0, 0), [1, 0], 1, None,
+    ])
+    def test_anything_but_a_pair_in_range_is_not_a_member(self, pair):
+        # the relation holds every in-range pair (1, y), so only the test of
+        # the pair itself can refuse these
+        r = Relation.from_pairs(Carrier(2), Carrier(3), [(1, 0), (1, 1), (1, 2)])
+        assert pair not in r
