@@ -11,15 +11,19 @@ the generated functions:
   and s(x,x,y) = y.
 
 A generated clone is one read-only (members, n**3) matrix of flat tables in
-the smallest unsigned dtype for n, with every member's derivation tree, so
-a reported term can be checked by hand against the signature.  Each round
-evaluates an operation by flat ``take`` calls over chunks of argument
-tuples, and the searches read t(x,y,y) and t(x,x,y) of all members at
-once.  Both searches generate the clone only up to its first Mal'tsev
-member p: member 0 is the projection x, which satisfies r(x,y,y) = x and
-pairs only with Mal'tsev terms s, so when p exists (x, p) is the least
-3-permutability pair; without p the clone is the full or the budget-cut
-one.
+the smallest unsigned dtype for n.  Each round evaluates an operation by
+flat ``take`` calls over chunks of argument tuples and keeps the new rows
+of each chunk in one membership pass.  Generation stores each member's
+derivation only as the operation and the argument member indices of its
+chunk, in ``CloneResult.steps`` (the field was ``terms``); the derivation
+trees, which let a reported term be checked by hand against the
+signature, are replayed from them on the first read of
+``CloneResult.terms``.  The searches read t(x,y,y) and t(x,x,y) of all
+members at once.  Both searches generate the clone only up to its first
+Mal'tsev member p: member 0 is the projection x, which satisfies
+r(x,y,y) = x and pairs only with Mal'tsev terms s, so when p exists
+(x, p) is the least 3-permutability pair; without p the clone is the full
+or the budget-cut one.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from .algebras import Algebra
 from .checks import resolve_budget
+from .relations import _is_int
 
 __all__ = [
     "TermFunction",
@@ -70,7 +75,10 @@ class TermFunction:
 
     def __call__(self, x: int, y: int, z: int) -> int:
         n = self.size
-        return self.table[x * n * n + y * n + z]
+        for v in (x, y, z):
+            if not (_is_int(v) and 0 <= v < n):
+                raise ValueError(f"argument {v!r} is not an integer in range for size {n}")
+        return self.table[(x * n + y) * n + z]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +87,33 @@ class CloneResult:
 
     ``tables`` is the read-only (members, size**3) matrix of the members'
     flat tables, in clone order and in the smallest unsigned dtype that
-    holds the elements; ``terms`` holds their derivations in the same
-    order.  ``functions`` builds the members as TermFunction objects on
-    first access.
+    holds the elements.  ``steps`` derives the members in the same order,
+    one step per kept chunk: (None, [js]) keeps the projections "xyz"[j],
+    and (op, args) applies ``op`` to the members whose indices ``args``
+    lists per argument position, one new member per index, or once for a
+    nullary ``op``.  The last step may derive one member past the budget.
+    ``terms`` and ``functions`` are built from them on first access.
     """
 
     size: int
     tables: np.ndarray
-    terms: tuple[Term, ...]
+    steps: tuple[tuple[str | None, list[list[int]]], ...]
     complete: bool
     budget: int
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """The members' derivation trees, in clone order."""
+        terms: list[Term] = []
+        for op, args in self.steps:
+            if op is None:
+                terms.extend(map("xyz".__getitem__, args[0]))
+            elif not args:
+                terms.append((op,))
+            else:
+                children = [list(map(terms.__getitem__, col)) for col in args]
+                terms.extend(zip(itertools.repeat(op), *children))
+        return tuple(terms[: len(self.tables)])
 
     def function(self, i: int) -> TermFunction:
         """Member ``i`` as a TermFunction."""
@@ -96,7 +121,7 @@ class CloneResult:
 
     @cached_property
     def functions(self) -> tuple[TermFunction, ...]:
-        return tuple(map(self.function, range(len(self.terms))))
+        return tuple(map(self.function, range(len(self.tables))))
 
 
 @dataclass(frozen=True)
@@ -199,31 +224,36 @@ def generate_ternary_clone(
     columns, values = _identity_columns(n)
     values = values.astype(dtype)  # the table dtype: rows compare without a cast
     members: dict[bytes, None] = {}  # table bytes, in clone order
-    terms: list[Term] = []  # derivations, in clone order
 
     def keep(block: np.ndarray) -> tuple[list[int], bool]:
         """Keep the new rows of ``block`` in order.  Returns their indices
         and whether generation stops: once past the budget or, with
         ``until_maltsev``, once a Mal'tsev member is kept."""
-        rows = block.view(row_type).ravel().tolist()  # one bytes per row
-        first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))  # row -> first j
-        new = sorted(map(first.__getitem__, first.keys() - members))
-        stop = len(members) + len(new) > budget
-        del new[budget + 1 - len(members) :]  # one member past the budget marks the cut
+        new = []
+        room = budget - len(members)  # one member past the budget marks the cut
+        for j, row in enumerate(block.view(row_type).ravel().tolist()):
+            if row not in members:
+                members[row] = None
+                new.append(j)
+                if len(new) > room:
+                    break
+        stop = len(new) > room
         if until_maltsev and new:
             ok = (block.take(new, 0).take(columns, 1) == values).all(1).tolist()
             if True in ok:
-                del new[ok.index(True) + 1 :]
+                p = ok.index(True)
+                for _ in new[p + 1 :]:  # the members kept after p
+                    members.popitem()
+                del new[p + 1 :]
                 stop = True
-        members.update(dict.fromkeys(map(rows.__getitem__, new)))
         return new, stop
 
     def result(complete: bool) -> CloneResult:
         tables = np.frombuffer(b"".join(itertools.islice(members, budget)), dtype).reshape(-1, m)
-        return CloneResult(n, tables, tuple(terms[:budget]), complete, budget)
+        return CloneResult(n, tables, tuple(steps), complete, budget)
 
     new, stop = keep(np.indices((n, n, n), dtype).reshape(3, m))
-    terms.extend("xyz"[j] for j in new)
+    steps = [(None, [new])]
     start = 0
     while not stop and start < len(members):
         end = len(members)
@@ -233,8 +263,7 @@ def generate_ternary_clone(
             for block, args_of in _blocks(f, arity, tables, start):
                 new, stop = keep(block)
                 if new:
-                    args = [list(map(terms.__getitem__, col)) for col in args_of(np.array(new))]
-                    terms.extend(zip(itertools.repeat(op, len(new)), *args))
+                    steps.append((op, args_of(np.array(new))))
                 if stop:
                     return result(False)
         start = end

@@ -786,6 +786,28 @@ def test_clone_and_term_searches_match_reference(case):
     assert find_3perm_terms(a, budget) == want_rs
 
 
+# the 3-element groupoids (one binary operation "m") of the clone benchmark
+# workload at seed 1 whose clone the default budget cuts
+BUDGET_CUT_GROUPOIDS = [
+    (2, 0, 1, 0, 2, 2, 1, 0, 2),
+    (0, 2, 2, 1, 0, 2, 2, 0, 0),
+    (2, 1, 0, 0, 2, 2, 0, 0, 2),
+    (0, 2, 2, 0, 0, 0, 1, 0, 0),
+    (0, 0, 2, 1, 0, 2, 1, 2, 0),
+]
+
+
+@pytest.mark.parametrize("table", BUDGET_CUT_GROUPOIDS)
+def test_budget_cut_clone_matches_reference(table):
+    # a multi-round clone cut at the default budget: every derivation is
+    # replayed from the recorded argument indices
+    a = Algebra("groupoid", Carrier(3), Signature((("m", 2),)), {"m": table})
+    got = generate_ternary_clone(a)
+    want = ref_generate_ternary_clone(a)
+    assert not want.complete and len(want.functions) == DEFAULT_CLONE_BUDGET
+    assert RefClone(got.functions, got.complete, got.budget) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_shifting_lemma_matches_tensor_kernel(n, data):

@@ -92,6 +92,22 @@ class TestCloneGeneration:
             generate_ternary_clone(cyclic_group(2), budget=2)
 
 
+class TestTermFunction:
+    def test_call_reads_the_table(self):
+        x = generate_ternary_clone(cyclic_group(2)).function(0)
+        assert x.term == "x"
+        assert [x(*args) for args in itertools.product(range(2), repeat=3)] == list(x.table)
+        assert x(np.int64(1), 0, 0) == 1
+
+    @pytest.mark.parametrize(
+        "args", [(0, 0, 2), (0, 0, -1), (2, 0, 0), (0, -1, 0), (True, 0, 0), (0, False, 0), (0.0, 0, 0), ("0", 0, 0)]
+    )
+    def test_call_refuses_arguments_out_of_range(self, args):
+        x = generate_ternary_clone(cyclic_group(2)).function(0)
+        with pytest.raises(ValueError, match="not an integer in range"):
+            x(*args)
+
+
 class TestMaltsevSearch:
     def test_z2_finds_xyz_sum(self):
         res = find_maltsev_term(cyclic_group(2))
@@ -221,6 +237,19 @@ class TestEarlyStop:
             assert threeperm == _3perm_terms(full)
             if maltsev.found:
                 assert threeperm.terms == (full.functions[0], maltsev.terms[0])
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_larger_budgets_keep_the_maltsev_member_last(self, n):
+        # a budget of index(p)+1 to index(p)+5 leaves room past p: the
+        # clone still ends at p, as without a budget
+        zn = cyclic_group(n)
+        cut = generate_ternary_clone(zn, until_maltsev=True)
+        k = len(cut.tables)
+        assert cut.functions[-1] == find_maltsev_term(zn).terms[0]
+        for budget in range(k, k + 5):
+            clone = generate_ternary_clone(zn, budget, until_maltsev=True)
+            assert np.array_equal(clone.tables, cut.tables)
+            assert not clone.complete
 
     def test_z6_clone_stops_at_its_maltsev_term(self):
         z6 = cyclic_group(6)
