@@ -8,6 +8,7 @@ than silently passing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections.abc import Callable
@@ -20,6 +21,7 @@ from .algebras import (
     Algebra,
     PreconditionError,
     _close_between,
+    _close_stack,
     _is_compatible_between,
     _joins,
     _require_reflexive_compatible,
@@ -178,20 +180,20 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     Found by ``algebras._joins`` from the closure S of ``base`` and the
     principal closures Sg(S + pair), one for each pair missing from S:
     every compatible relation above S is the join of the principal ones
-    below it.  Each matrix is closed under every operation applied
-    coordinatewise.  The budget counts the 2^k candidates, k the
-    positions outside ``base``, and refuses before any closure runs.
+    below it.  S, one matrix, is closed by ``algebras._close_between``; the
+    principals, and the unions that ``_joins`` closes, a stack at a time
+    by ``algebras._close_stack``.  The budget counts the 2^k candidates,
+    k the positions outside ``base``, and refuses before any closure runs,
+    so the default budget leaves at most 16 free cells to the stacked
+    kernel.  Every relation kept is checked once more, on its own, by
+    ``_is_compatible_between``.
     """
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     k = int(np.count_nonzero(~base))
     if 2**k > budget:
         raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
 
-    def close(stack: np.ndarray) -> np.ndarray:
-        for m in stack:
-            _close_between(a, b, m)
-        return stack
-
+    close = functools.partial(_close_stack, a, b)
     start = _close_between(a, b, base.copy())
     xs, ys = np.nonzero(~start)
     principals = np.repeat(start[None], len(xs), axis=0)
@@ -242,20 +244,25 @@ def shifting_lemma_forall(
     """Shifting Lemma quantified over all compatible relations of the given
     classes on A.  Returns the first violation in lexicographic triple
     order, or "inconclusive" when enumeration would exceed the budget.
-    Each distinct class is enumerated once.
+    Each distinct class is enumerated once; REFLEXIVE_POSITIVE is not
+    enumerated but read off the REFLEXIVE list as its positive members.
 
     The T relations are stacked once.  For each (R, S), in order, every T
     is tested at once: the triple counts when R ^ S <= T, and violates the
     lemma when R ^ T ^ S-op (R ^ not-T) S is not empty, as in
     ``shifting_lemma``, which is then called on the first such T for the
     least quadruple."""
+    refl, pos = RelationClass.REFLEXIVE, RelationClass.REFLEXIVE_POSITIVE
+    classes = (class_r, class_s, class_t)
     try:
         rels = {
             cls: enumerate_class_relations(a, cls, budget)
-            for cls in dict.fromkeys((class_r, class_s, class_t))
+            for cls in dict.fromkeys(refl if cls is pos else cls for cls in classes)
         }
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
+    if pos in classes:
+        rels[pos] = [r for r in rels[refl] if is_positive(r)]
     ts = rels[class_t]
     t_in = np.array([t.members for t in ts])
     t_out = ~t_in

@@ -177,7 +177,8 @@ def _blocks(f: np.ndarray, arity: int, tables: np.ndarray, start: int):
         return
     n = len(f)
     f = f.ravel()
-    wide = tables.astype(np.intp) * n
+    # flat indices into f, in the smallest unsigned dtype that holds them
+    wide = tables.astype(_table_dtype(n**arity)) * n
     for lead in itertools.product(range(end), repeat=arity - 2):
         base = sum((wide[i] * n ** (arity - 2 - k) for k, i in enumerate(lead)), 0)
         fresh = any(i >= start for i in lead)

@@ -260,6 +260,11 @@ class TestEnumeration:
         refl, eq = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE
         shifting_lemma_forall(semilattice2(), refl, eq, refl)
         assert seen == [refl, eq]
+        # the reflexive positive relations are read off the reflexive list
+        seen.clear()
+        reflpos = RelationClass.REFLEXIVE_POSITIVE
+        shifting_lemma_forall(semilattice2(), reflpos, refl, reflpos)
+        assert seen == [refl]
 
     @pytest.mark.parametrize("name, most, one_pair_search", [
         ("n5_unary", 89, 577),
@@ -268,17 +273,24 @@ class TestEnumeration:
     def test_closures_per_arbitrary_enumeration(self, monkeypatch, name, most, one_pair_search):
         # closing each (relation, missing pair) took `one_pair_search` closures;
         # joins of distinct principal closures, each principal closed once,
-        # take at most `most`
-        calls = []
+        # take at most `most`: the start matrix plus every matrix of the
+        # stacks closed together
+        closed = []
+        close_one, close_stack = checks._close_between, checks._close_stack
 
-        def counting(a, b, m):
-            calls.append(None)
-            return close(a, b, m)
+        def counting_one(a, b, m):
+            closed.append(1)
+            return close_one(a, b, m)
 
-        close = checks._close_between
-        monkeypatch.setattr(checks, "_close_between", counting)
+        def counting_stack(a, b, stack):
+            closed.append(len(stack))
+            return close_stack(a, b, stack)
+
+        monkeypatch.setattr(checks, "_close_between", counting_one)
+        monkeypatch.setattr(checks, "_close_stack", counting_stack)
         enumerate_compatible_relations(bundled_corpus()[name])
-        assert len(calls) <= most < one_pair_search
+        assert closed[0] == 1 and len(closed) > 2
+        assert sum(closed) <= most < one_pair_search
 
     def test_arbitrary_includes_empty(self):
         free2 = Algebra("set2", Carrier(2), Signature(()), {})
@@ -319,6 +331,19 @@ class TestShiftingLemmaForall:
         res = shifting_lemma_forall(big, *(RelationClass.REFLEXIVE,) * 3, budget=16)
         assert res.verdict == "inconclusive"
         assert "budget" in res.reason
+
+    @pytest.mark.parametrize("classes", [
+        "reflpos,refl,reflpos", "refl,reflpos,refl", "reflpos,reflpos,reflpos", "refl,refl,refl",
+    ])
+    def test_reflexive_positive_budget_reason(self, classes):
+        # REFLEXIVE_POSITIVE is read off REFLEXIVE, refused by the same gate
+        # on the diagonal base: 5 * 4 free cells
+        big = Algebra("set5", Carrier(5), Signature(()), {})
+        layout = [RelationClass.parse(c) for c in classes.split(",")]
+        res = shifting_lemma_forall(big, *layout, budget=16)
+        assert (res.verdict, res.reason) == (
+            "inconclusive", "2^20 candidate relations exceed budget 16"
+        )
 
 
 class TestCharacterizationScans:

@@ -13,15 +13,17 @@ joined every two congruences found in each round, the modularity test
 that formed both sides of the modular law as relations for every triple,
 the quantified Shifting Lemma that ran the single-triple check on every
 triple of relations in turn, and the Shifting Lemma kernel that built
-the (n, n, n, n) tensor of premises.  The single bitmask
-loop that replaced the enumeration loops is kept as well, and checks the
+the (n, n, n, n) tensor of premises, and the loop that closed the
+enumeration's stacks one matrix at a time.  The single bitmask loop
+that replaced the enumeration loops is kept as well, and checks the
 enumeration on the bundled 4-element carriers, where the random algebras
 do not reach; so is the closure search that closed every relation found
 with each missing pair added, which checks the search by joins of
 distinct principal closures, order included, on seeded 4-element
 algebras, where the 2^16 bitmask loop is too slow.  They stay here as
-oracles for the shared kernel, the enumeration, the vectorized builders,
-the block-wise clone, the pair-graph congruences, the join and meet
+oracles for the shared kernel, the stacked closure, the enumeration,
+the vectorized builders, the block-wise clone, the pair-graph
+congruences and the single principal congruence, the join and meet
 tables of the modularity test, the stacked quantified check and the
 relational Shifting Lemma check in ``relshift``, checked on random
 algebras with 1-3 elements and operations of arity 0-3, on random unary
@@ -46,8 +48,10 @@ from relshift.algebras import (
     Algebra,
     Signature,
     _close_between,
+    _close_stack,
     _is_compatible_between,
     _is_modular,
+    _principal_stack,
     all_congruences,
     as_paired_object,
     compatible_close,
@@ -491,8 +495,8 @@ def signatures(draw):
 
 
 @st.composite
-def algebras(draw, sig):
-    n = draw(st.integers(1, 3))
+def algebras(draw, sig, sizes=st.integers(1, 3)):
+    n = draw(sizes)
     tables = {
         op: tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
         for op, k in sig.ops
@@ -525,6 +529,42 @@ def test_compatibility_matches_reference(ab, data):
 def test_compatible_close_matches_reference(a, data):
     seed = relations(data.draw, a, a).pairs()
     assert compatible_close(a, seed) == ref_compatible_close(a, seed)
+
+
+def ref_close_stack(a: Algebra, b: Algebra, stack: np.ndarray) -> np.ndarray:
+    """Close every matrix of the stack in place, one matrix at a time."""
+    for m in stack:
+        _close_between(a, b, m)
+    return stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_pairs(), st.integers(0, 4), st.data(), st.sampled_from([None, 1, 50]))
+def test_close_stack_matches_per_matrix_loop(ab, k, data, stack_cells):
+    # the two sizes are drawn apart; the stack holds k random matrices (none
+    # when k = 0), then repeats of some of them and their closures, which are
+    # closed already; a small _STACK_CELLS closes it in blocks of one matrix
+    # or of a few
+    a, b = ab
+    drawn = [relations(data.draw, a, b).members for _ in range(k)]
+    picks = data.draw(st.lists(st.integers(0, k - 1), max_size=3)) if k else []
+    closed = [ref_close_stack(a, b, drawn[i][None].copy())[0] for i in picks]
+    stack = np.array(drawn + [drawn[i] for i in picks] + closed, dtype=bool)
+    stack = stack.reshape(-1, a.size, b.size)
+    want = ref_close_stack(a, b, stack.copy())
+    with pytest.MonkeyPatch.context() as mp:
+        if stack_cells:
+            mp.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+        got = _close_stack(a, b, stack)
+    assert got is stack
+    np.testing.assert_array_equal(got, want)
+
+
+def test_close_stack_refuses_a_strided_stack():
+    # the stack is closed in place through one flat view of it
+    a = cyclic_group(2)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _close_stack(a, a, np.zeros((2, 2, 4), dtype=bool)[..., :2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -587,6 +627,15 @@ def assert_congruences_match_reference(a):
 @given(signatures().flatmap(algebras))
 def test_congruences_match_reference(a):
     assert_congruences_match_reference(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signatures().flatmap(lambda sig: algebras(sig, st.integers(1, 5))))
+def test_principal_congruence_is_its_row_of_the_stack(a):
+    pairs = itertools.combinations(range(a.size), 2)
+    for (x, y), row in zip(pairs, _principal_stack(a), strict=True):
+        assert np.array_equal(principal_congruence(a, x, y).members, row)
+        assert np.array_equal(principal_congruence(a, y, x).members, row)
 
 
 def seeded_algebra(n, arities, seed):
@@ -805,6 +854,16 @@ def test_budget_cut_clone_matches_reference(table):
     got = generate_ternary_clone(a)
     want = ref_generate_ternary_clone(a)
     assert not want.complete and len(want.functions) == DEFAULT_CLONE_BUDGET
+    assert RefClone(got.functions, got.complete, got.budget) == want
+
+
+@pytest.mark.parametrize("n, arity", [(7, 3), (17, 2)])
+def test_clone_with_wide_flat_indices_matches_reference(n, arity):
+    # the smallest carriers whose flat indices n**arity - 1 need two bytes
+    a = seeded_algebra(n, (arity,), seed=n)
+    got = generate_ternary_clone(a, budget=40)
+    want = ref_generate_ternary_clone(a, budget=40)
+    assert not want.complete
     assert RefClone(got.functions, got.complete, got.budget) == want
 
 
