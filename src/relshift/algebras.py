@@ -150,7 +150,7 @@ def is_compatible(a: Algebra, r: Relation) -> bool:
 
     An operation of arity k is applied to the |R|^k tuples of members
     only, as in _close_between, not to all (n^2)^k tuples of cells as in
-    _close_stack: the checks call it on carriers of up to 16 elements.
+    _stack_closer: the checks call it on carriers of up to 16 elements.
     """
     if r.dom != a.carrier or r.cod != a.carrier:
         raise ShapeError("relation carrier does not match algebra carrier")
@@ -188,7 +188,7 @@ def _close_between(a: Algebra, b: Algebra, m: np.ndarray) -> np.ndarray:
     Each round applies an operation of arity k to the |m|^k tuples of
     members only, so its cost follows the relation, not the carrier:
     ``compatible_close`` uses it on carriers of up to 16 elements, where
-    _close_stack's tuples of all |A||B| cells would be far costlier.
+    _stack_closer's tuples of all |A||B| cells would be far costlier.
     """
     count = np.count_nonzero(m)
     while True:
@@ -232,50 +232,55 @@ def _blocks(xs: np.ndarray, row_cells: int) -> Iterator[np.ndarray]:
     return (xs[i:i + step] for i in range(0, len(xs), step))
 
 
-def _close_stack(a: Algebra, b: Algebra, stack: np.ndarray) -> np.ndarray:
-    """Close every matrix of the C-contiguous boolean stack (K, |A|, |B|) of
-    relations A -> B, in place, under every operation applied
-    coordinatewise; returns ``stack``.
+def _stack_closer(a: Algebra, b: Algebra) -> Callable[[np.ndarray], np.ndarray]:
+    """The closure of relations A -> B under every operation applied
+    coordinatewise, as a callable that closes every matrix of a C-contiguous
+    boolean stack (K, |A|, |B|) in place and returns the stack.
 
-    The target cell of every k-tuple of cells is computed once per call,
-    for each operation of arity k.  A constant's cell is set once.  Each
-    round, for each arity k, the cell vectors of the matrices still growing
-    are laid along k axes and ANDed, and the targets of the tuples that hit
-    are set for every operation of arity k, a block of at most _STACK_CELLS
-    tuples at a time; a matrix that did not grow in the round is closed.
-    The cost is (|A||B|)^k per matrix whatever its members, so this kernel
-    serves the enumeration, whose budget gate keeps |A||B| small, and not
-    ``compatible_close`` (see _close_between).
+    The target cell of every k-tuple of cells is computed here, once, for
+    each operation of arity k.  Each call sets every constant's cell, then
+    each round, for each arity k, lays the cell vectors of the matrices
+    still growing along k axes, ANDs them, and sets the targets of the
+    tuples that hit for every operation of arity k, a block of at most
+    _STACK_CELLS tuples at a time; a matrix that did not grow in the round
+    is closed.  The cost is (|A||B|)^k per matrix whatever its members, so
+    this kernel serves the enumeration, whose budget gate keeps |A||B|
+    small, and not ``compatible_close`` (see _close_between).
     """
-    if not stack.flags.c_contiguous:
-        raise ValueError("the stack must be C-contiguous to be closed in place")
-    _, na, nb = stack.shape
-    cells = na * nb
-    flat = stack.reshape(len(stack), cells)
+    nb = b.size
+    cells = a.size * nb
     xs, ys = np.divmod(np.arange(cells), nb)
     by_arity: dict[int, list[np.ndarray]] = {}
     for op, arity in a.sig.ops:
         cell = _apply_all(a.table_array(op), xs) * nb + _apply_all(b.table_array(op), ys)
         by_arity.setdefault(arity, []).append(cell.ravel())
-    if 0 in by_arity:
-        flat[:, np.concatenate(by_arity.pop(0))] = True
+    constants = np.concatenate(by_arity.pop(0, [np.empty(0, dtype=np.intp)]))
     # targets[k]: one row per operation of arity k, one column per k-tuple
     targets = {arity: np.array(cells_of) for arity, cells_of in by_arity.items()}
-    live = np.arange(len(flat))
-    count = flat.sum(1)
-    while len(live):
-        for arity, cell in targets.items():
-            first, *rest = _GRID_SHAPES[arity]
-            for block in _blocks(live, cells**arity):
-                m = flat[block]
-                hits = m.reshape(len(block), *first)
-                for shape in rest:
-                    hits = hits & m.reshape(len(block), *shape)
-                rows, tuples = np.nonzero(hits.reshape(len(block), -1))
-                flat[block[rows], cell[:, tuples]] = True
-        grown = flat[live].sum(1)
-        live, count = live[grown > count], grown[grown > count]
-    return stack
+
+    def close(stack: np.ndarray) -> np.ndarray:
+        if not stack.flags.c_contiguous:
+            raise ValueError("the stack must be C-contiguous to be closed in place")
+        flat = stack.reshape(len(stack), cells)
+        flat[:, constants] = True
+        live = np.arange(len(flat))
+        count = flat.sum(1)
+        while len(live):
+            for arity, cell in targets.items():
+                first, *rest = _GRID_SHAPES[arity]
+                for block in _blocks(live, cells**arity):
+                    m = flat[block]
+                    hits = m.reshape(len(block), *first)
+                    for shape in rest:
+                        hits = hits & m.reshape(len(block), *shape)
+                    rows, tuples = np.nonzero(hits.reshape(len(block), -1))
+                    flat[block[rows], cell[:, tuples]] = True
+            grown = flat[live].sum(1)
+            grew = grown > count
+            live, count = live[grew], grown[grew]
+        return stack
+
+    return close
 
 
 def _principal_stack(a: Algebra) -> np.ndarray:
@@ -319,28 +324,16 @@ def _squared(stack: np.ndarray) -> np.ndarray:
 
 
 def principal_congruence(a: Algebra, x: int, y: int) -> Relation:
-    """Least congruence identifying x and y.
-
-    By Mal'cev's lemma it is the equivalence generated by the pairs
-    {f(x), f(y)} over the compositions f of basic translations: the pair
-    and its opposite, with the diagonal, are closed under the distinct
-    translations until no pair is new, then transitively by squaring.
-    """
+    """Least congruence identifying x and y: its row of the stack of all
+    principal congruences, which the pair graph of A gives at once."""
     n = a.size
     if not (_is_int(x) and _is_int(y) and 0 <= x < n and 0 <= y < n):
         raise ValueError(f"elements ({x!r}, {y!r}) are not integers in range for size {n}")
-    m = np.eye(n, dtype=bool)
     if x == y:
-        return Relation(a.carrier, a.carrier, m)
-    m[x, y] = m[y, x] = True
-    maps = np.array(_translations(a), dtype=np.intp).reshape(-1, n)
-    count = np.count_nonzero(m)
-    while True:
-        us, vs = np.nonzero(m)
-        m[maps[:, us], maps[:, vs]] = True
-        count, before = np.count_nonzero(m), count
-        if count == before:
-            return Relation(a.carrier, a.carrier, _squared(m[None])[0])
+        return Relation(a.carrier, a.carrier, np.eye(n, dtype=bool))
+    u, v = min(x, y), max(x, y)
+    # the pairs of rows 0..u-1 come first: n-1 + n-2 + ... + n-u of them
+    return Relation(a.carrier, a.carrier, _principal_stack(a)[u * n - u * (u + 1) // 2 + v - u - 1])
 
 
 def congruence_join(r: Relation, s: Relation) -> Relation:

@@ -8,7 +8,6 @@ than silently passing.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from collections.abc import Callable
@@ -20,11 +19,10 @@ import numpy as np
 from .algebras import (
     Algebra,
     PreconditionError,
-    _close_between,
-    _close_stack,
     _is_compatible_between,
     _joins,
     _require_reflexive_compatible,
+    _stack_closer,
     all_congruences,
 )
 from .relations import (
@@ -180,21 +178,20 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     Found by ``algebras._joins`` from the closure S of ``base`` and the
     principal closures Sg(S + pair), one for each pair missing from S:
     every compatible relation above S is the join of the principal ones
-    below it.  S, one matrix, is closed by ``algebras._close_between``; the
-    principals, and the unions that ``_joins`` closes, a stack at a time
-    by ``algebras._close_stack``.  The budget counts the 2^k candidates,
-    k the positions outside ``base``, and refuses before any closure runs,
-    so the default budget leaves at most 16 free cells to the stacked
-    kernel.  Every relation kept is checked once more, on its own, by
-    ``_is_compatible_between``.
+    below it.  S, the principals and the unions that ``_joins`` closes are
+    all closed, a stack at a time, by one ``algebras._stack_closer``.  The
+    budget counts the 2^k candidates, k the positions outside ``base``,
+    and refuses before any closure runs, so the default budget leaves at
+    most 16 free cells to the stacked kernel.  Every relation kept is
+    checked once more, on its own, by ``_is_compatible_between``.
     """
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     k = int(np.count_nonzero(~base))
     if 2**k > budget:
         raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
 
-    close = functools.partial(_close_stack, a, b)
-    start = _close_between(a, b, base.copy())
+    close = _stack_closer(a, b)
+    start = close(base.copy()[None])[0]
     xs, ys = np.nonzero(~start)
     principals = np.repeat(start[None], len(xs), axis=0)
     principals[np.arange(len(xs)), xs, ys] = True
@@ -229,9 +226,13 @@ def enumerate_class_relations(
         return enumerate_compatible_relations(a, a, budget)
     # reflexive cases: free choice only on the off-diagonal positions
     rels = _subalgebras(a, a, np.eye(a.size, dtype=bool), budget)
-    if cls is RelationClass.REFLEXIVE_POSITIVE:
-        rels = [r for r in rels if is_positive(r)]
-    return rels
+    return _positive(rels) if cls is RelationClass.REFLEXIVE_POSITIVE else rels
+
+
+def _positive(refl: list[Relation]) -> list[Relation]:
+    """The REFLEXIVE_POSITIVE relations of A, read off its REFLEXIVE list:
+    its positive members, in the same order."""
+    return [r for r in refl if is_positive(r)]
 
 
 def shifting_lemma_forall(
@@ -262,7 +263,7 @@ def shifting_lemma_forall(
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
     if pos in classes:
-        rels[pos] = [r for r in rels[refl] if is_positive(r)]
+        rels[pos] = _positive(rels[refl])
     ts = rels[class_t]
     t_in = np.array([t.members for t in ts])
     t_out = ~t_in

@@ -32,6 +32,7 @@ from .algebras import (
 from .checks import (
     BudgetError,
     RelationClass,
+    _positive,
     difunctional_all,
     ee_properties,
     enumerate_class_relations,
@@ -48,7 +49,7 @@ from .constructions import (
     kernel_pair,
     maltsev_sl_witness,
 )
-from .relations import Relation, compose, is_equivalence, is_positive, is_symmetric, meet
+from .relations import Relation, compose, is_equivalence, is_symmetric, meet
 from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
@@ -195,8 +196,7 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
         rec["ee_properties"] = f"inconclusive: {err}"
         refl, ee_all = [], []
     else:
-        # the reflexive positive relations are the positive members of refl
-        sweep = all(is_equivalence(e) for e in refl if is_positive(e))
+        sweep = all(is_equivalence(e) for e in _positive(refl))
         ee_all = [ee_properties(a, e, sweep=sweep) for e in refl]
         rec["ee_properties"] = {
             "all_ee_op_equivalence": all(r["ee_op_is_equivalence"] for r in ee_all),

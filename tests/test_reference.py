@@ -23,15 +23,14 @@ distinct principal closures, order included, on seeded 4-element
 algebras, where the 2^16 bitmask loop is too slow.  They stay here as
 oracles for the shared kernel, the stacked closure, the enumeration,
 the vectorized builders, the block-wise clone, the pair-graph
-congruences and the single principal congruence, the join and meet
-tables of the modularity test, the stacked quantified check and the
-relational Shifting Lemma check in ``relshift``, checked on random
-algebras with 1-3 elements and operations of arity 0-3, on random unary
-algebras with 4-6 elements (every congruence lattice on at most 3
-elements is modular), on pinned bundled, cyclic and seeded algebras up
-to the 16 elements of the benchmark's ladder, on random reflexive
-relations and random relation triples, and on the witnesses built from
-a seeded unary algebra.
+congruences, the join and meet tables of the modularity test, the
+stacked quantified check and the relational Shifting Lemma check in
+``relshift``, checked on random algebras with 1-3 elements and
+operations of arity 0-3, on random unary algebras with 4-6 elements
+(every congruence lattice on at most 3 elements is modular), on pinned
+bundled, cyclic and seeded algebras up to the 16 elements of the
+benchmark's ladder, on random reflexive relations and random relation
+triples, and on the witnesses built from a seeded unary algebra.
 """
 
 import itertools
@@ -48,10 +47,9 @@ from relshift.algebras import (
     Algebra,
     Signature,
     _close_between,
-    _close_stack,
     _is_compatible_between,
     _is_modular,
-    _principal_stack,
+    _stack_closer,
     all_congruences,
     as_paired_object,
     compatible_close,
@@ -495,8 +493,8 @@ def signatures(draw):
 
 
 @st.composite
-def algebras(draw, sig, sizes=st.integers(1, 3)):
-    n = draw(sizes)
+def algebras(draw, sig):
+    n = draw(st.integers(1, 3))
     tables = {
         op: tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
         for op, k in sig.ops
@@ -540,7 +538,7 @@ def ref_close_stack(a: Algebra, b: Algebra, stack: np.ndarray) -> np.ndarray:
 
 @settings(max_examples=200, deadline=None)
 @given(algebra_pairs(), st.integers(0, 4), st.data(), st.sampled_from([None, 1, 50]))
-def test_close_stack_matches_per_matrix_loop(ab, k, data, stack_cells):
+def test_stack_closer_matches_per_matrix_loop(ab, k, data, stack_cells):
     # the two sizes are drawn apart; the stack holds k random matrices (none
     # when k = 0), then repeats of some of them and their closures, which are
     # closed already; a small _STACK_CELLS closes it in blocks of one matrix
@@ -555,16 +553,16 @@ def test_close_stack_matches_per_matrix_loop(ab, k, data, stack_cells):
     with pytest.MonkeyPatch.context() as mp:
         if stack_cells:
             mp.setattr(algebras_module, "_STACK_CELLS", stack_cells)
-        got = _close_stack(a, b, stack)
+        got = _stack_closer(a, b)(stack)
     assert got is stack
     np.testing.assert_array_equal(got, want)
 
 
-def test_close_stack_refuses_a_strided_stack():
+def test_stack_closer_refuses_a_strided_stack():
     # the stack is closed in place through one flat view of it
     a = cyclic_group(2)
     with pytest.raises(ValueError, match="C-contiguous"):
-        _close_stack(a, a, np.zeros((2, 2, 4), dtype=bool)[..., :2])
+        _stack_closer(a, a)(np.zeros((2, 2, 4), dtype=bool)[..., :2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -627,15 +625,6 @@ def assert_congruences_match_reference(a):
 @given(signatures().flatmap(algebras))
 def test_congruences_match_reference(a):
     assert_congruences_match_reference(a)
-
-
-@settings(max_examples=100, deadline=None)
-@given(signatures().flatmap(lambda sig: algebras(sig, st.integers(1, 5))))
-def test_principal_congruence_is_its_row_of_the_stack(a):
-    pairs = itertools.combinations(range(a.size), 2)
-    for (x, y), row in zip(pairs, _principal_stack(a), strict=True):
-        assert np.array_equal(principal_congruence(a, x, y).members, row)
-        assert np.array_equal(principal_congruence(a, y, x).members, row)
 
 
 def seeded_algebra(n, arities, seed):
