@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -184,6 +186,10 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     and refuses before any closure runs, so the default budget leaves at
     most 16 free cells to the stacked kernel.  Every relation kept is
     checked once more, on its own, by ``_is_compatible_between``.
+
+    Outside a suite record the enumeration functions call it on every
+    request; inside one (``_shared_classes``) they call it once per class
+    and budget, and the record's checks share the list it returned.
     """
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     k = int(np.count_nonzero(~base))
@@ -202,6 +208,56 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     return out
 
 
+# The class lists of the current suite record, keyed by (A, B, class,
+# budget); None outside ``_shared_classes``.
+_SHARED: ContextVar[dict | None] = ContextVar("relshift_shared_classes", default=None)
+
+
+@contextmanager
+def _shared_classes() -> Iterator[None]:
+    """Within the block, each class list is built once per (A, B, class,
+    resolved budget), and every request for it gets a fresh list of the
+    same relations; a refused enumeration raises a new BudgetError with
+    the same message on every later request.  The lists are dropped when
+    the block exits."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _build_class(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) -> list[Relation]:
+    """The compatible relations A -> B of class ARBITRARY, REFLEXIVE or
+    EQUIVALENCE (the last two with B = A), lexicographic."""
+    if cls is RelationClass.EQUIVALENCE:
+        return all_congruences(a)
+    # reflexive: free choice only on the off-diagonal positions
+    if cls is RelationClass.REFLEXIVE:
+        return _subalgebras(a, b, np.eye(a.size, dtype=bool), budget)
+    return _subalgebras(a, b, np.zeros((a.size, b.size), dtype=bool), budget)
+
+
+def _class_list(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) -> list[Relation]:
+    """``_build_class(a, b, cls, budget)``, built once per key inside
+    ``_shared_classes`` and on every call outside it."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _build_class(a, b, cls, budget)
+    if cls is not RelationClass.EQUIVALENCE:  # congruences need no budget
+        budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+    key = (a, b, cls, budget)
+    if key not in shared:
+        try:
+            shared[key] = _build_class(a, b, cls, budget)
+        except BudgetError as err:
+            shared[key] = err
+    got = shared[key]
+    if isinstance(got, BudgetError):
+        raise BudgetError(str(got))
+    return list(got)
+
+
 def enumerate_compatible_relations(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> list[Relation]:
@@ -212,21 +268,16 @@ def enumerate_compatible_relations(
     candidate relations exceed the budget; the budget still counts every
     candidate, not the relations found.
     """
-    b = a if b is None else b
-    return _subalgebras(a, b, np.zeros((a.size, b.size), dtype=bool), budget)
+    return _class_list(a, a if b is None else b, RelationClass.ARBITRARY, budget)
 
 
 def enumerate_class_relations(
     a: Algebra, cls: RelationClass, budget: int | None = None
 ) -> list[Relation]:
     """All compatible relations on A in the given class, lexicographic."""
-    if cls is RelationClass.EQUIVALENCE:
-        return all_congruences(a)
-    if cls is RelationClass.ARBITRARY:
-        return enumerate_compatible_relations(a, a, budget)
-    # reflexive cases: free choice only on the off-diagonal positions
-    rels = _subalgebras(a, a, np.eye(a.size, dtype=bool), budget)
-    return _positive(rels) if cls is RelationClass.REFLEXIVE_POSITIVE else rels
+    if cls is RelationClass.REFLEXIVE_POSITIVE:
+        return _positive(_class_list(a, a, RelationClass.REFLEXIVE, budget))
+    return _class_list(a, a, cls, budget)
 
 
 def _positive(refl: list[Relation]) -> list[Relation]:
@@ -247,6 +298,8 @@ def shifting_lemma_forall(
     order, or "inconclusive" when enumeration would exceed the budget.
     Each distinct class is enumerated once; REFLEXIVE_POSITIVE is not
     enumerated but read off the REFLEXIVE list as its positive members.
+    Inside a suite record the lists are the record's shared ones (see
+    ``_shared_classes``); a standalone call enumerates them itself.
 
     The T relations are stacked once.  For each (R, S), in order, every T
     is tested at once: the triple counts when R ^ S <= T, and violates the

@@ -10,6 +10,11 @@ CLI also uses for a corpus directory.
 
 ``run_suite`` runs every check on every corpus algebra and assembles a
 single deterministic JSON-ready report (schema "relshift-report/1").
+Each algebra's record runs inside ``checks._shared_classes``: its
+checks still make their public calls, but each relation class (the
+reflexive and arbitrary enumerations and the congruences) is built once
+per record and shared by all of them, then dropped when the record
+returns.  Standalone calls to the checks are unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .algebras import (
     PairedObject,
     _is_modular,
     algebra_from_json,
-    all_congruences,
     as_paired_object,
     congruence_join,
 )
@@ -33,6 +37,7 @@ from .checks import (
     BudgetError,
     RelationClass,
     _positive,
+    _shared_classes,
     difunctional_all,
     ee_properties,
     enumerate_class_relations,
@@ -176,7 +181,7 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     rec["difunctional_all"] = difunctional_all(a, budget=budget).to_dict()
     rec["goursat_identity_all"] = goursat_identity_all(a, budget=budget).to_dict()
 
-    cons = all_congruences(a)
+    cons = enumerate_class_relations(a, RelationClass.EQUIVALENCE, budget)
     rec["congruence_lattice_modular"] = _is_modular(cons)
     rec["congruence_count"] = len(cons)
     perm_table = []
@@ -274,7 +279,8 @@ def run_suite(
     }
     for name in sorted(corpus):
         try:
-            report["algebras"][name] = _algebra_record(corpus[name], budget)
+            with _shared_classes():
+                report["algebras"][name] = _algebra_record(corpus[name], budget)
         except ConsistencyError:
             raise
         except Exception as err:  # per-algebra failure: record and continue

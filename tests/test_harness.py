@@ -7,7 +7,13 @@ import pytest
 
 from relshift import checks, harness
 from relshift.algebras import algebra_from_json, algebra_to_json, all_congruences
-from relshift.checks import RelationClass, enumerate_class_relations, shifting_lemma
+from relshift.checks import (
+    BudgetError,
+    RelationClass,
+    enumerate_class_relations,
+    enumerate_compatible_relations,
+    shifting_lemma,
+)
 from relshift.harness import (
     SCHEMA,
     bundled_corpus,
@@ -17,6 +23,8 @@ from relshift.harness import (
 from relshift.relations import Relation, Carrier
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled_seed7.json"
+# the same run with RELSHIFT_BUDGET=300: some enumerations are refused
+GOLDEN_BUDGET_300 = GOLDEN.with_name("bundled_seed7_budget300.json")
 
 
 class TestBundledCorpus:
@@ -161,6 +169,28 @@ class TestSuite:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert text == GOLDEN.read_text()
 
+    def test_matches_golden_report_at_budget_300(self, monkeypatch):
+        monkeypatch.setenv("RELSHIFT_BUDGET", "300")
+        report = run_suite(bundled_corpus(), seed=7)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == GOLDEN_BUDGET_300.read_text()
+        recs = report["algebras"]
+        # z3 decides the reflexive classes (2^6 candidates) while its
+        # arbitrary enumeration (2^9) is refused
+        assert all(v["verdict"] != "inconclusive" for v in recs["z3"]["shifting_lemma"].values())
+        refused = "2^9 candidate relations exceed budget 300"
+        assert recs["z3"]["difunctional_all"]["reason"] == refused
+        assert recs["z3"]["goursat_identity_all"]["reason"] == refused
+        # z4 and n5_unary replay one refusal per class in every check
+        for name in ("z4", "n5_unary"):
+            rec = recs[name]
+            refl = "2^12 candidate relations exceed budget 300"
+            for label in ("refl,refl,refl", "refl,eq,refl", "reflpos,refl,reflpos"):
+                assert rec["shifting_lemma"][label]["reason"] == refl
+            assert rec["ee_properties"] == f"inconclusive: {refl}"
+            for check in ("difunctional_all", "goursat_identity_all"):
+                assert rec[check]["reason"] == "2^16 candidate relations exceed budget 300"
+
     def test_determinism(self, report):
         again = run_suite(bundled_corpus(), seed=7)
         assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
@@ -189,6 +219,63 @@ class TestSuite:
         # reflpos,refl,reflpos check and the sweep read them off the
         # reflexive list
         assert classes.count(RelationClass.REFLEXIVE_POSITIVE) == 0
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of the enumeration and congruence builds in ``checks``."""
+        counts = dict.fromkeys(("_subalgebras", "all_congruences"), 0)
+        for name in counts:
+
+            def counted(*args, _name=name, _real=getattr(checks, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(checks, name, counted)
+        return counts
+
+    def test_record_builds_each_class_once(self, builds):
+        z3 = bundled_corpus()["z3"]
+        record = run_suite({"z3": z3})["algebras"]["z3"]
+        assert "error" not in record
+        # REFLEXIVE and ARBITRARY once each, the congruences once
+        assert builds == {"_subalgebras": 2, "all_congruences": 1}
+        # nothing outlives the record: a second suite run builds them again
+        run_suite({"z3": z3})
+        assert builds == {"_subalgebras": 4, "all_congruences": 2}
+        assert checks._SHARED.get() is None
+
+    def test_record_refuses_a_class_once(self, builds):
+        z3 = bundled_corpus()["z3"]
+        record = run_suite({"z3": z3}, budget=300)["algebras"]["z3"]
+        assert builds == {"_subalgebras": 2, "all_congruences": 1}
+        refused = "2^9 candidate relations exceed budget 300"
+        assert record["difunctional_all"]["reason"] == refused
+        assert record["goursat_identity_all"]["reason"] == refused
+
+    def test_shared_lists_are_fresh_lists_of_the_same_relations(self, builds):
+        z3 = bundled_corpus()["z3"]
+        with checks._shared_classes():
+            first = enumerate_class_relations(z3, RelationClass.REFLEXIVE)
+            second = enumerate_class_relations(z3, RelationClass.REFLEXIVE)
+            errors = []
+            for _ in range(2):
+                with pytest.raises(BudgetError) as err:
+                    enumerate_compatible_relations(z3, budget=300)
+                errors.append(err.value)
+            # another budget is another key
+            assert enumerate_class_relations(z3, RelationClass.REFLEXIVE, 64) == first
+        assert builds["_subalgebras"] == 3
+        assert first == second and first is not second
+        assert all(r is s for r, s in zip(first, second))
+        assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+
+    def test_standalone_calls_build_every_time(self, builds):
+        z3 = bundled_corpus()["z3"]
+        for cls in (RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE):
+            first = enumerate_class_relations(z3, cls)
+            second = enumerate_class_relations(z3, cls)
+            assert first == second and first is not second
+        assert builds == {"_subalgebras": 2, "all_congruences": 2}
 
     def test_per_algebra_failure_recorded_not_fatal(self):
         corpus = dict(bundled_corpus())
