@@ -349,11 +349,10 @@ def _joins(bottom: np.ndarray, principals: np.ndarray, close: Callable) -> list[
 
     The distinct principals make the first frontier.  Each frontier is
     joined with every principal, as stacks of unions in _STACK_CELLS
-    blocks, closing only the unions neither tried nor found, until no
+    blocks, closing only the distinct unions not found yet, until no
     join is new.  Returned sorted by flat member positions.
     """
     found = {bottom.tobytes(): bottom}
-    tried = set()
     void = np.dtype((np.void, bottom.size))
 
     def keys(stack: np.ndarray) -> list[bytes]:
@@ -373,10 +372,8 @@ def _joins(bottom: np.ndarray, principals: np.ndarray, close: Callable) -> list[
         grown = []
         for block in _blocks(np.array(frontier), len(principals) * bottom.size):
             unions = (block[:, None] | principals[None]).reshape(-1, *bottom.shape)
-            todo = {key: i for i, key in enumerate(keys(unions))
-                    if key not in found and key not in tried}
+            todo = {key: i for i, key in enumerate(keys(unions)) if key not in found}
             if todo:
-                tried.update(todo)
                 grown += new(close(unions[list(todo.values())]))
         frontier = grown
     return sorted(found.values(), key=lambda m: np.flatnonzero(m).tolist())

@@ -174,7 +174,7 @@ def resolve_budget(budget: int | None, default: int) -> int:
     return value
 
 
-def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -> list[Relation]:
+def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int) -> list[Relation]:
     """Compatible relations A -> B containing ``base``, lexicographic.
 
     Found by ``algebras._joins`` from the closure S of ``base`` and the
@@ -182,16 +182,15 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     every compatible relation above S is the join of the principal ones
     below it.  S, the principals and the unions that ``_joins`` closes are
     all closed, a stack at a time, by one ``algebras._stack_closer``.  The
-    budget counts the 2^k candidates, k the positions outside ``base``,
-    and refuses before any closure runs, so the default budget leaves at
-    most 16 free cells to the stacked kernel.  Every relation kept is
-    checked once more, on its own, by ``_is_compatible_between``.
+    budget, resolved already, counts the 2^k candidates, k the positions
+    outside ``base``, and refuses before any closure runs, so the default
+    budget leaves at most 16 free cells to the stacked kernel.  Every
+    relation kept is checked once more, on its own, by
+    ``_is_compatible_between``.
 
-    Outside a suite record the enumeration functions call it on every
-    request; inside one (``_shared_classes``) they call it once per class
-    and budget, and the record's checks share the list it returned.
+    Only ``_class_list`` calls it, once per class and budget of the open
+    ``_shared_classes`` scope.
     """
-    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     k = int(np.count_nonzero(~base))
     if 2**k > budget:
         raise BudgetError(f"2^{k} candidate relations exceed budget {budget}")
@@ -208,51 +207,50 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None) -
     return out
 
 
-# The class lists of the current suite record, keyed by (A, B, class,
-# budget); None outside ``_shared_classes``.
+# The class lists of the open ``_shared_classes`` scope, keyed by (A, B,
+# class, budget); None outside any scope.
 _SHARED: ContextVar[dict | None] = ContextVar("relshift_shared_classes", default=None)
 
 
 @contextmanager
-def _shared_classes() -> Iterator[None]:
-    """Within the block, each class list is built once per (A, B, class,
+def _shared_classes() -> Iterator[dict]:
+    """A scope in which each class list is built once per (A, B, class,
     resolved budget), and every request for it gets a fresh list of the
     same relations; a refused enumeration raises a new BudgetError with
-    the same message on every later request.  The lists are dropped when
-    the block exits."""
-    token = _SHARED.set({})
+    the same message on every later request.  Re-entrant: inside an open
+    scope it yields that scope's lists, which are dropped when the
+    outermost scope exits."""
+    shared = _SHARED.get()
+    if shared is not None:
+        yield shared
+        return
+    shared = {}
+    token = _SHARED.set(shared)
     try:
-        yield
+        yield shared
     finally:
         _SHARED.reset(token)
 
 
-def _build_class(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) -> list[Relation]:
-    """The compatible relations A -> B of class ARBITRARY, REFLEXIVE or
-    EQUIVALENCE (the last two with B = A), lexicographic."""
-    if cls is RelationClass.EQUIVALENCE:
-        return all_congruences(a)
-    # reflexive: free choice only on the off-diagonal positions
-    if cls is RelationClass.REFLEXIVE:
-        return _subalgebras(a, b, np.eye(a.size, dtype=bool), budget)
-    return _subalgebras(a, b, np.zeros((a.size, b.size), dtype=bool), budget)
-
-
 def _class_list(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) -> list[Relation]:
-    """``_build_class(a, b, cls, budget)``, built once per key inside
-    ``_shared_classes`` and on every call outside it."""
-    shared = _SHARED.get()
-    if shared is None:
-        return _build_class(a, b, cls, budget)
-    if cls is not RelationClass.EQUIVALENCE:  # congruences need no budget
-        budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
-    key = (a, b, cls, budget)
-    if key not in shared:
-        try:
-            shared[key] = _build_class(a, b, cls, budget)
-        except BudgetError as err:
-            shared[key] = err
-    got = shared[key]
+    """The compatible relations A -> B of class ARBITRARY, REFLEXIVE or
+    EQUIVALENCE (the last two with B = A), lexicographic: built once per
+    key of the open ``_shared_classes`` scope, or of a scope opened for
+    this call alone.  The budget is resolved, and so checked, for every
+    class; congruences are keyed without it."""
+    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+    eq = cls is RelationClass.EQUIVALENCE
+    with _shared_classes() as shared:
+        key = (a, b, cls, None if eq else budget)
+        if key not in shared:
+            base = np.zeros((a.size, b.size), dtype=bool)
+            if cls is RelationClass.REFLEXIVE:  # free choice only off the diagonal
+                np.fill_diagonal(base, True)
+            try:
+                shared[key] = all_congruences(a) if eq else _subalgebras(a, b, base, budget)
+            except BudgetError as err:
+                shared[key] = err
+        got = shared[key]
     if isinstance(got, BudgetError):
         raise BudgetError(str(got))
     return list(got)
@@ -264,26 +262,27 @@ def enumerate_compatible_relations(
     """All compatible relations A -> B (subalgebras of A x B), lexicographic,
     found as joins of principal closures.
 
-    Raises BudgetError, before any closure runs, when the 2**(|A| * |B|)
+    Raises ShapeError when A and B have different signatures, and
+    BudgetError, before any closure runs, when the 2**(|A| * |B|)
     candidate relations exceed the budget; the budget still counts every
     candidate, not the relations found.
     """
+    if b is not None and dict(a.sig.ops) != dict(b.sig.ops):
+        raise ShapeError(
+            f"{a.name} has signature {list(a.sig.ops)} but {b.name} has {list(b.sig.ops)}"
+        )
     return _class_list(a, a if b is None else b, RelationClass.ARBITRARY, budget)
 
 
 def enumerate_class_relations(
     a: Algebra, cls: RelationClass, budget: int | None = None
 ) -> list[Relation]:
-    """All compatible relations on A in the given class, lexicographic."""
+    """All compatible relations on A in the given class, lexicographic.
+    REFLEXIVE_POSITIVE is not enumerated: it is the positive members of
+    the REFLEXIVE list, in the same order."""
     if cls is RelationClass.REFLEXIVE_POSITIVE:
-        return _positive(_class_list(a, a, RelationClass.REFLEXIVE, budget))
+        return [r for r in _class_list(a, a, RelationClass.REFLEXIVE, budget) if is_positive(r)]
     return _class_list(a, a, cls, budget)
-
-
-def _positive(refl: list[Relation]) -> list[Relation]:
-    """The REFLEXIVE_POSITIVE relations of A, read off its REFLEXIVE list:
-    its positive members, in the same order."""
-    return [r for r in refl if is_positive(r)]
 
 
 def shifting_lemma_forall(
@@ -296,27 +295,24 @@ def shifting_lemma_forall(
     """Shifting Lemma quantified over all compatible relations of the given
     classes on A.  Returns the first violation in lexicographic triple
     order, or "inconclusive" when enumeration would exceed the budget.
-    Each distinct class is enumerated once; REFLEXIVE_POSITIVE is not
-    enumerated but read off the REFLEXIVE list as its positive members.
-    Inside a suite record the lists are the record's shared ones (see
-    ``_shared_classes``); a standalone call enumerates them itself.
+    Each distinct class is requested once, in order, within one
+    ``_shared_classes`` scope (the caller's, if one is open), so each
+    enumeration is built once: REFLEXIVE_POSITIVE and REFLEXIVE share
+    the REFLEXIVE list.
 
     The T relations are stacked once.  For each (R, S), in order, every T
     is tested at once: the triple counts when R ^ S <= T, and violates the
     lemma when R ^ T ^ S-op (R ^ not-T) S is not empty, as in
     ``shifting_lemma``, which is then called on the first such T for the
     least quadruple."""
-    refl, pos = RelationClass.REFLEXIVE, RelationClass.REFLEXIVE_POSITIVE
-    classes = (class_r, class_s, class_t)
     try:
-        rels = {
-            cls: enumerate_class_relations(a, cls, budget)
-            for cls in dict.fromkeys(refl if cls is pos else cls for cls in classes)
-        }
+        with _shared_classes():
+            rels = {
+                cls: enumerate_class_relations(a, cls, budget)
+                for cls in dict.fromkeys((class_r, class_s, class_t))
+            }
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
-    if pos in classes:
-        rels[pos] = _positive(rels[refl])
     ts = rels[class_t]
     t_in = np.array([t.members for t in ts])
     t_out = ~t_in

@@ -10,11 +10,11 @@ CLI also uses for a corpus directory.
 
 ``run_suite`` runs every check on every corpus algebra and assembles a
 single deterministic JSON-ready report (schema "relshift-report/1").
-Each algebra's record runs inside ``checks._shared_classes``: its
-checks still make their public calls, but each relation class (the
+Each algebra's record runs inside one ``checks._shared_classes`` scope:
+its checks still make their public calls, but each relation class (the
 reflexive and arbitrary enumerations and the congruences) is built once
 per record and shared by all of them, then dropped when the record
-returns.  Standalone calls to the checks are unchanged.
+returns.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ from .algebras import (
 from .checks import (
     BudgetError,
     RelationClass,
-    _positive,
     _shared_classes,
     difunctional_all,
     ee_properties,
     enumerate_class_relations,
     goursat_identity_all,
     permutability,
+    reflexive_positive_all_equivalence,
     shifting_lemma,
     shifting_lemma_forall,
 )
@@ -54,7 +54,7 @@ from .constructions import (
     kernel_pair,
     maltsev_sl_witness,
 )
-from .relations import Relation, compose, is_equivalence, is_symmetric, meet
+from .relations import Relation, compose, is_symmetric, meet
 from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
@@ -201,7 +201,7 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
         rec["ee_properties"] = f"inconclusive: {err}"
         refl, ee_all = [], []
     else:
-        sweep = all(is_equivalence(e) for e in _positive(refl))
+        sweep = reflexive_positive_all_equivalence(a, budget)
         ee_all = [ee_properties(a, e, sweep=sweep) for e in refl]
         rec["ee_properties"] = {
             "all_ee_op_equivalence": all(r["ee_op_is_equivalence"] for r in ee_all),

@@ -15,7 +15,7 @@ the smallest unsigned dtype for n.  Each round evaluates an operation by
 flat ``take`` calls over chunks of argument tuples and keeps the new rows
 of each chunk in one membership pass.  Generation stores each member's
 derivation only as the operation and the argument member indices of its
-chunk, in ``CloneResult.steps`` (the field was ``terms``); the derivation
+chunk, in ``CloneResult.steps``; the derivation
 trees, which let a reported term be checked by hand against the
 signature, are replayed from them on the first read of
 ``CloneResult.terms``.  The searches read t(x,y,y) and t(x,x,y) of all

@@ -249,22 +249,39 @@ class TestEnumeration:
         with pytest.raises(RuntimeError, match="incompatible relation"):
             enumerate_compatible_relations(cyclic_group(2))
 
-    def test_each_class_enumerated_once_per_forall(self, monkeypatch):
-        seen = []
-
-        def counting(a, cls, budget=None):
-            seen.append(cls)
-            return enumerate_class_relations(a, cls, budget)
-
-        monkeypatch.setattr(checks, "enumerate_class_relations", counting)
+    def test_each_class_enumerated_once_per_forall(self, builds):
         refl, eq = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE
         shifting_lemma_forall(semilattice2(), refl, eq, refl)
-        assert seen == [refl, eq]
-        # the reflexive positive relations are read off the reflexive list
-        seen.clear()
+        assert builds == {"_subalgebras": 1, "all_congruences": 1}
+        # the reflexive positive relations are read off the one reflexive list
         reflpos = RelationClass.REFLEXIVE_POSITIVE
         shifting_lemma_forall(semilattice2(), reflpos, refl, reflpos)
-        assert seen == [refl]
+        assert builds == {"_subalgebras": 2, "all_congruences": 1}
+
+    def test_forall_in_an_open_scope_builds_nothing_new(self, builds):
+        a = semilattice2()
+        refl, eq = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE
+        with checks._shared_classes():
+            enumerate_class_relations(a, refl)
+            enumerate_class_relations(a, eq)
+            assert builds == {"_subalgebras": 1, "all_congruences": 1}
+            for classes in ((refl, eq, refl), (RelationClass.REFLEXIVE_POSITIVE, refl, eq)):
+                shifting_lemma_forall(a, *classes)
+            assert builds == {"_subalgebras": 1, "all_congruences": 1}
+            # the inner scopes left the outer one open
+            assert checks._SHARED.get()
+        assert checks._SHARED.get() is None
+
+    @pytest.mark.parametrize("a, b", [
+        (cyclic_group(2), semilattice2()),
+        (Algebra("set2", Carrier(2), Signature(()), {}), cyclic_group(2)),
+    ])
+    def test_different_signatures_are_refused(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ShapeError, match=f"{x.name} has signature .* but {y.name} has"):
+                enumerate_compatible_relations(x, y)
+            with pytest.raises(ShapeError):
+                difunctional_all(x, y)
 
     @pytest.mark.parametrize("name, most, one_pair_search", [
         ("n5_unary", 89, 577),
@@ -389,12 +406,14 @@ class TestCharacterizationScans:
 class TestExplicitBudget:
     @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 16.0, "16"])
     def test_not_a_positive_integer_is_refused(self, budget):
-        refl = RelationClass.REFLEXIVE
         match = "budget must be a positive integer"
         with pytest.raises(ValueError, match=match):
             checks.resolve_budget(budget, checks.DEFAULT_ENUM_BUDGET)
-        with pytest.raises(ValueError, match=match):
-            shifting_lemma_forall(bundled_corpus()["n5_unary"], refl, refl, refl, budget=budget)
+        for cls in RelationClass:  # congruences too, although they use no budget
+            with pytest.raises(ValueError, match=match):
+                enumerate_class_relations(cyclic_group(2), cls, budget)
+            with pytest.raises(ValueError, match=match):
+                shifting_lemma_forall(bundled_corpus()["n5_unary"], cls, cls, cls, budget=budget)
         with pytest.raises(ValueError, match=match):
             difunctional_all(cyclic_group(2), budget=budget)
         with pytest.raises(ValueError, match=match):

@@ -196,42 +196,28 @@ class TestSuite:
         assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
 
     def test_record_builds_clone_once_and_no_sweep(self, monkeypatch):
-        clones, classes = [], []
-        real_clone, real_enum = harness.generate_ternary_clone, checks.enumerate_class_relations
+        clones, bases = [], []
+        real_clone, real_sub = harness.generate_ternary_clone, checks._subalgebras
 
         def clone(a, *args, **kwargs):
             clones.append(a.name)
             return real_clone(a, *args, **kwargs)
 
-        def enum(a, cls, *args, **kwargs):
-            classes.append(cls)
-            return real_enum(a, cls, *args, **kwargs)
+        def sub(a, b, base, budget):
+            bases.append(base.copy())
+            return real_sub(a, b, base, budget)
 
         monkeypatch.setattr(harness, "generate_ternary_clone", clone)
-        for module in (checks, harness):
-            monkeypatch.setattr(module, "enumerate_class_relations", enum)
+        monkeypatch.setattr(checks, "_subalgebras", sub)
         z3 = bundled_corpus()["z3"]
         record = run_suite({"z3": z3})["algebras"]["z3"]
         assert "error" not in record
         assert record["ee_properties"]["reflexive_positive_all_equivalence"] is True
         assert clones == ["z3"]
-        # the reflexive positive relations are never enumerated: the
-        # reflpos,refl,reflpos check and the sweep read them off the
-        # reflexive list
-        assert classes.count(RelationClass.REFLEXIVE_POSITIVE) == 0
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """Counts of the enumeration and congruence builds in ``checks``."""
-        counts = dict.fromkeys(("_subalgebras", "all_congruences"), 0)
-        for name in counts:
-
-            def counted(*args, _name=name, _real=getattr(checks, name), **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(checks, name, counted)
-        return counts
+        # the reflexive positive relations are never built: the
+        # reflpos,refl,reflpos check and the sweep read them off the one
+        # reflexive (diagonal base) enumeration; the other is the arbitrary one
+        assert [b.sum() for b in bases] == [3, 0] and bases[0].diagonal().all()
 
     def test_record_builds_each_class_once(self, builds):
         z3 = bundled_corpus()["z3"]
