@@ -97,6 +97,8 @@ class Algebra:
         sig: Signature,
         tables: dict[str, tuple[int, ...]],
     ):
+        if not isinstance(name, str):
+            raise ValueError(f"algebra name is not a string: {name!r}")
         n = carrier.size
         if set(tables) != {op for op, _ in sig.ops}:
             raise ValueError("tables do not match signature")
@@ -503,6 +505,6 @@ def algebra_from_json(text: str) -> Algebra:
         carrier = Carrier(doc["size"])
         sig = Signature(tuple((spec["name"], spec["arity"]) for spec in doc["operations"]))
         tables = {spec["name"]: spec["table"] for spec in doc["operations"]}
-        return Algebra(str(doc["name"]), carrier, sig, tables)
+        return Algebra(doc["name"], carrier, sig, tables)
     except ValueError as e:
         raise AlgebraParseError(str(e)) from e

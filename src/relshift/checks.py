@@ -35,8 +35,6 @@ from .relations import (
     is_difunctional,
     is_equivalence,
     is_positive,
-    leq,
-    meet,
     opposite,
 )
 
@@ -124,33 +122,43 @@ class SLResult:
         return rec
 
 
-def _common_carrier(r: Relation, s: Relation, t: Relation) -> int:
-    carriers = {r.dom, r.cod, s.dom, s.cod, t.dom, t.cod}
-    if len(carriers) != 1:
+def _common_carrier(r: Relation, s: Relation, t: Relation) -> None:
+    if len({r.dom, r.cod, s.dom, s.cod, t.dom, t.cod}) != 1:
         raise ShapeError("R, S, T must be relations on one common carrier")
-    return r.dom.size
+
+
+def _shift_stack(r: np.ndarray, s: np.ndarray, ts: np.ndarray) -> tuple:
+    """Decide the Shifting Lemma for the matrices R and S and each T of the
+    stack ``ts``: (x, y) in R ^ T, (x, u) and (y, v) in S and (u, v) in R
+    imply (u, v) in T.  With gap = R ^ not-T it holds iff R ^ T ^ S-op gap S
+    is empty; its float32 products are nonzero exactly where a path exists.
+    Returns the mask of the T with R ^ S <= T and, for the first of them
+    that violates the lemma, (its index, the least quadruple), or None."""
+    gap = r > ts  # R ^ not-T, in one pass
+    meets = ~(gap & s).any((1, 2))
+    sf = s.astype(np.float32)
+    hits = r & ts & (sf @ gap.astype(np.float32) @ sf.T > 0)
+    bad = meets & hits.any((1, 2))
+    if not bad.any():
+        return meets, None
+    i = int(bad.argmax())
+    x, y = (int(j) for j in np.argwhere(hits[i])[0])
+    u = int(np.argmax(s[x] & (gap[i] @ s[y])))
+    v = int(np.argmax(s[y] & gap[i, u]))
+    return meets, (i, (x, y, u, v))
 
 
 def shifting_lemma(r: Relation, s: Relation, t: Relation) -> SLResult:
-    """Exhaustive check of the shifting implication for one triple.
-
-    Premises over (x, y, u, v): (x, y) in R ^ T, (x, u) in S, (y, v) in S,
-    (u, v) in R; conclusion (u, v) in T.  Requires R ^ S <= T.  With
-    gap = R ^ not-T, the implication holds iff R ^ T ^ S-op gap S is empty;
-    a violation reports the lexicographically least quadruple.
-    """
+    """Exhaustive check of the shifting implication for one triple, by
+    ``_shift_stack`` on a stack of one T.  Requires R ^ S <= T; a violation
+    reports the lexicographically least quadruple."""
     _common_carrier(r, s, t)
-    if not leq(meet(r, s), t):
+    meets, bad = _shift_stack(r.members, s.members, t.members[None])
+    if not meets[0]:
         raise PreconditionError("R ^ S <= T fails")
-    sm = s.members
-    gap = r.members & ~t.members
-    hits = r.members & t.members & (sm @ gap @ sm.T)
-    if not hits.any():
+    if bad is None:
         return SLResult("holds")
-    x, y = (int(i) for i in np.argwhere(hits)[0])
-    u = int(np.argmax(sm[x] & (gap @ sm[y])))
-    v = int(np.argmax(sm[y] & gap[u]))
-    return SLResult("violated", quadruple=(x, y, u, v))
+    return SLResult("violated", quadruple=bad[1])
 
 
 def resolve_budget(budget: int | None, default: int) -> int:
@@ -300,11 +308,9 @@ def shifting_lemma_forall(
     enumeration is built once: REFLEXIVE_POSITIVE and REFLEXIVE share
     the REFLEXIVE list.
 
-    The T relations are stacked once.  For each (R, S), in order, every T
-    is tested at once: the triple counts when R ^ S <= T, and violates the
-    lemma when R ^ T ^ S-op (R ^ not-T) S is not empty, as in
-    ``shifting_lemma``, which is then called on the first such T for the
-    least quadruple."""
+    The T relations are stacked once, and ``_shift_stack`` decides every
+    T at once for each (R, S) in order: it skips the T that fail
+    R ^ S <= T and gives the first violating T with its least quadruple."""
     try:
         with _shared_classes():
             rels = {
@@ -314,18 +320,12 @@ def shifting_lemma_forall(
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
     ts = rels[class_t]
-    t_in = np.array([t.members for t in ts])
-    t_out = ~t_in
+    stack = np.array([t.members for t in ts])
     for r, s in itertools.product(rels[class_r], rels[class_s]):
-        rm = r.members
-        sf = s.members.astype(np.float32)  # BLAS products, as in _transitive_stack
-        gap = (rm & t_out).astype(np.float32)
-        hits = rm & t_in & (sf @ gap @ sf.T > 0)
-        bad = hits.any((1, 2)) & ~(rm & s.members & t_out).any((1, 2))
-        if bad.any():
-            t = ts[int(bad.argmax())]
-            res = shifting_lemma(r, s, t)
-            return SLResult("violated", quadruple=res.quadruple, triple=(r, s, t))
+        _, bad = _shift_stack(r.members, s.members, stack)
+        if bad is not None:
+            i, quadruple = bad
+            return SLResult("violated", quadruple=quadruple, triple=(r, s, ts[i]))
     return SLResult("holds")
 
 

@@ -265,7 +265,10 @@ def suite(corpus_path, out_path, seed):
         corpus_id = str(d)
     report = run_suite(corpus, seed=seed, corpus_id=corpus_id)
     text = json.dumps(report, indent=2, sort_keys=True)
-    pathlib.Path(out_path).write_text(text + "\n")
+    try:
+        pathlib.Path(out_path).write_text(text + "\n")
+    except OSError as e:
+        raise click.ClickException(f"cannot write report to {out_path}: {e.strerror or e}") from e
     failed = [name for name, rec in report["algebras"].items() if "error" in rec]
     if failed:
         raise click.ClickException(

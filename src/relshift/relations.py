@@ -81,7 +81,7 @@ class Relation:
     be shared and hashed freely.
     """
 
-    __slots__ = ("dom", "cod", "members", "_hash")
+    __slots__ = ("dom", "cod", "members")
 
     def __init__(self, dom: Carrier, cod: Carrier, members: np.ndarray):
         members = np.asarray(members, dtype=bool)
@@ -95,7 +95,6 @@ class Relation:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Relation is immutable")
@@ -139,11 +138,7 @@ class Relation:
         )
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.dom, self.cod, self.members.tobytes()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.dom, self.cod, self.members.tobytes()))
 
     def __repr__(self) -> str:
         return f"Relation({self.dom.size}x{self.cod.size}, {self.pairs()})"
@@ -262,8 +257,6 @@ def positive_witness(p: Relation) -> Relation | None:
     if compose(opposite(p), p) == p:
         return p
     undirected = sorted({(min(x, y), max(x, y)) for x, y in p.pairs()})
-    if not undirected:
-        return empty(p.dom, Carrier(1))
     m = np.zeros((p.dom.size, len(undirected)), dtype=bool)
     for j, (x, y) in enumerate(undirected):
         m[x, j] = True

@@ -91,8 +91,8 @@ class CloneResult:
     one step per kept chunk: (None, [js]) keeps the projections "xyz"[j],
     and (op, args) applies ``op`` to the members whose indices ``args``
     lists per argument position, one new member per index, or once for a
-    nullary ``op``.  The last step may derive one member past the budget.
-    ``terms`` and ``functions`` are built from them on first access.
+    nullary ``op``; no step derives a member past the budget.  ``terms``
+    and ``functions`` are built from them on first access.
     """
 
     size: int
@@ -113,7 +113,7 @@ class CloneResult:
             else:
                 children = [list(map(terms.__getitem__, col)) for col in args]
                 terms.extend(zip(itertools.repeat(op), *children))
-        return tuple(terms[: len(self.tables)])
+        return tuple(terms)
 
     def function(self, i: int) -> TermFunction:
         """Member ``i`` as a TermFunction."""
@@ -228,17 +228,18 @@ def generate_ternary_clone(
 
     def keep(block: np.ndarray) -> tuple[list[int], bool]:
         """Keep the new rows of ``block`` in order.  Returns their indices
-        and whether generation stops: once past the budget or, with
-        ``until_maltsev``, once a Mal'tsev member is kept."""
-        new = []
-        room = budget - len(members)  # one member past the budget marks the cut
+        and whether generation stops: at the first new row past the budget,
+        which is not kept, or, with ``until_maltsev``, once a Mal'tsev
+        member is kept."""
+        new, stop = [], False
+        room = budget - len(members)
         for j, row in enumerate(block.view(row_type).ravel().tolist()):
             if row not in members:
+                if len(new) == room:  # a new member past the budget: the cut
+                    stop = True
+                    break
                 members[row] = None
                 new.append(j)
-                if len(new) > room:
-                    break
-        stop = len(new) > room
         if until_maltsev and new:
             ok = (block.take(new, 0).take(columns, 1) == values).all(1).tolist()
             if True in ok:
@@ -250,7 +251,7 @@ def generate_ternary_clone(
         return new, stop
 
     def result(complete: bool) -> CloneResult:
-        tables = np.frombuffer(b"".join(itertools.islice(members, budget)), dtype).reshape(-1, m)
+        tables = np.frombuffer(b"".join(members), dtype).reshape(-1, m)
         return CloneResult(n, tables, tuple(steps), complete, budget)
 
     new, stop = keep(np.indices((n, n, n), dtype).reshape(3, m))

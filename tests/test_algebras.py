@@ -355,6 +355,11 @@ class TestJson:
                 )
                 for name in ("[1]", '{"a": 1}', "5", "null")
             ),
+            # so is the algebra's name: it reads back unchanged or not at all
+            *(
+                (f'{{"name": {name}, "size": 2, "operations": []}}', "algebra name is not a string")
+                for name in ("true", "null", "1", '["a"]')
+            ),
         ],
     )
     def test_validation_names_offender(self, doc, fragment):
@@ -395,6 +400,8 @@ class TestValidation:
             (lambda: Signature((("f", 1.0),)), "arity"),
             (lambda: Signature(((["f"], 1),)), "name is not a string"),
             (lambda: Signature(((None, 1), ("f", 1))), "name is not a string"),
+            (lambda: Algebra(None, Carrier(2), Signature(()), {}), "algebra name is not a string"),
+            (lambda: Algebra(2, Carrier(2), Signature(()), {}), "algebra name is not a string"),
             (lambda: unary((0, True)), "#1"),
             (lambda: unary((False, 1)), "#0"),
             (lambda: unary((0, 2)), "#1"),

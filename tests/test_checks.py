@@ -342,6 +342,19 @@ class TestShiftingLemmaForall:
         replay = shifting_lemma(r, s, t)
         assert replay.quadruple == res.quadruple
 
+    @pytest.mark.parametrize("name", ["semilattice2", "n5_unary", "z4"])
+    def test_never_calls_the_single_triple_check(self, monkeypatch, name):
+        # the violating triple and its quadruple come straight off the kernel
+        a = bundled_corpus()[name]
+        want = shifting_lemma_forall(a, *(RelationClass.REFLEXIVE,) * 3)
+
+        def spy(r, s, t):
+            raise AssertionError("shifting_lemma called")
+
+        monkeypatch.setattr(checks, "shifting_lemma", spy)
+        got = shifting_lemma_forall(a, *(RelationClass.REFLEXIVE,) * 3)
+        assert (got, got.triple) == (want, want.triple)
+
     def test_budget_gives_inconclusive(self):
         big = Algebra("set5", Carrier(5), Signature(()), {})
         res = shifting_lemma_forall(big, *(RelationClass.REFLEXIVE,) * 3, budget=16)

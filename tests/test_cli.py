@@ -62,6 +62,9 @@ def files(tmp_path):
     return paths
 
 
+CORPUS = pathlib.Path(relshift.__file__).parent / "corpus"
+
+
 def run(runner, args, env=None):
     result = runner.invoke(main, args, env=env)
     # stdout always carries exactly one JSON document
@@ -167,6 +170,45 @@ class TestCheck:
             ],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("algebra, triple, expected, doc", [
+        # R4 = {0,2}{1,3}, S4 = {0,1}{2,3}, T4 = {0,2}{1}{3}
+        ("n5_unary", ("r4", "s4", "t4"), 1, {"verdict": "violated", "quadruple": [0, 2, 1, 3]}),
+        ("n5_unary", ("full4", "full4", "diag4"), 2, {"error": "R ^ S <= T fails"}),
+        ("z4", ("diag4", "diag4", "diag4"), 0, {"verdict": "holds"}),
+    ])
+    def test_explicit_triple_verdicts(self, runner, tmp_path, algebra, triple, expected, doc):
+        blocks = {
+            "r4": [[0, 2], [1, 3]],
+            "s4": [[0, 1], [2, 3]],
+            "t4": [[0, 2], [1], [3]],
+            "full4": [[0, 1, 2, 3]],
+            "diag4": [[0], [1], [2], [3]],
+        }
+        args = ["check", "--algebra", str(CORPUS / f"{algebra}.json"), "--property", "shifting-lemma"]
+        for flag, name in zip(("--R", "--S", "--T"), triple):
+            pairs = [(x, y) for block in blocks[name] for x in block for y in block]
+            p = tmp_path / f"{name}.json"
+            p.write_text(relation_to_json(Relation.from_pairs(Carrier(4), Carrier(4), pairs)))
+            args += [flag, str(p)]
+        assert run(runner, args) == (expected, doc)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--property", "shifting-lemma", "--classes", "refl,refl"], "three comma-separated"),
+        (["--property", "positive"], "missing required option --R"),
+    ])
+    def test_incomplete_options(self, runner, files, args, message):
+        code, doc = run(runner, ["check", "--algebra", files["z2"], *args])
+        assert code == 2
+        assert message in doc["error"]
+
+    @pytest.mark.parametrize("name", ["true", "null", "1"])
+    def test_algebra_name_must_be_a_string(self, runner, tmp_path, name):
+        p = tmp_path / "a.json"
+        p.write_text(f'{{"name": {name}, "size": 2, "operations": []}}')
+        code, doc = run(runner, ["check", "--algebra", str(p), "--property", "difunctional"])
+        assert code == 2
+        assert "algebra name is not a string" in doc["error"]
 
     @pytest.mark.parametrize("prop, flags", [
         ("shifting-lemma", ("--R", "--S", "--T")),
@@ -306,6 +348,29 @@ class TestTerms:
         assert code == 1
         assert doc["status"] == "not_found"
 
+    def test_maltsev_found_document(self, runner):
+        code, doc = run(runner, ["terms", "maltsev", "--algebra", str(CORPUS / "z3.json")])
+        assert code == 0
+        assert doc == {
+            "identity_set": "maltsev",
+            "p": {
+                "table": [(x - y + z) % 3 for x in range(3) for y in range(3) for z in range(3)],
+                "term": "(add (add x y) (add y z))",
+            },
+        }
+
+    @pytest.mark.parametrize("name, budget, expected, status", [
+        ("z3", 20, 3, "inconclusive"),  # member 21 is the Mal'tsev term
+        ("z3", 21, 0, None),
+        ("implication2", 37, 3, "inconclusive"),
+        ("implication2", 38, 1, "not_found"),  # the clone closes at exactly 38
+    ])
+    def test_budget_at_the_clone_edges(self, runner, name, budget, expected, status):
+        args = ["terms", "maltsev", "--algebra", str(CORPUS / f"{name}.json"), "--budget", str(budget)]
+        code, doc = run(runner, args)
+        assert code == expected
+        assert doc.get("status") == status
+
     def test_tiny_budget_inconclusive(self, runner, files):
         code, doc = run(
             runner,
@@ -335,6 +400,26 @@ class TestSuiteCommand:
         report = json.loads(out1.read_text())
         assert report["schema"] == "relshift-report/1"
         assert set(report["algebras"]) == {"z2", "semilattice2"}
+
+    @pytest.mark.parametrize("subdir, message", [
+        ("nowhere", "no such corpus directory: {}"),
+        ("empty", "no algebra files in {}"),
+    ])
+    def test_missing_or_empty_corpus_directory_exits_2(self, runner, tmp_path, subdir, message):
+        (tmp_path / "empty").mkdir()
+        corpus, out = tmp_path / subdir, tmp_path / "r.json"
+        code, doc = run(runner, ["suite", "--corpus", str(corpus), "--out", str(out)])
+        assert (code, doc) == (2, {"error": message.format(corpus)})
+        assert not out.exists()
+
+    def test_unwritable_report_path_exits_2_without_a_traceback(self, runner, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, ["suite", "--out", str(out)])
+        assert result.exit_code == 2
+        assert json.loads(result.stdout) == {
+            "error": f"cannot write report to {out}: No such file or directory"
+        }
+        assert "Traceback" not in result.output
 
     def test_duplicate_algebra_name_exits_2(self, runner, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -16,6 +17,8 @@ from relshift.checks import (
 )
 from relshift.harness import (
     SCHEMA,
+    ConsistencyError,
+    _check_consistency,
     bundled_corpus,
     box_join_replay,
     run_suite,
@@ -269,6 +272,66 @@ class TestSuite:
         rep = run_suite({"z2": corpus["z2"], "broken": corpus["broken"]})
         assert "error" in rep["algebras"]["broken"]
         assert rep["algebras"]["z2"]["terms"]["maltsev"]["status"] == "found"
+
+
+def consistent_record():
+    """The golden record of z3: both term conditions found, every check holds."""
+    return json.loads(GOLDEN.read_text())["algebras"]["z3"]
+
+
+def set_path(rec, path, value):
+    *keys, last = path
+    for key in keys:
+        rec = rec[key]
+    rec[last] = value
+
+
+VIOLATED = {"verdict": "violated"}
+
+
+class TestConsistency:
+    """Each term condition found, against each check it implies: one
+    synthetic record per problem branch of ``_check_consistency``."""
+
+    def test_golden_record_is_consistent(self):
+        _check_consistency("z3", consistent_record())
+
+    @pytest.mark.parametrize("path, value, problem", [
+        (("shifting_lemma", "eq,eq,eq"), VIOLATED, "shifting_lemma[eq,eq,eq]"),
+        (("shifting_lemma", "reflpos,refl,reflpos"), VIOLATED, "shifting_lemma[reflpos,refl,reflpos]"),
+        (("goursat_identity_all",), VIOLATED, "goursat_identity_all"),
+        (("ee_properties", "all_ee_op_equivalence"), False, "ee_properties"),
+        (("ee_properties", "all_ee_op_equals_op_ee"), False, "ee_properties"),
+        (("ee_properties", "reflexive_positive_all_equivalence"), False, "ee_properties"),
+        (("shifting_lemma", "refl,refl,refl"), VIOLATED, "shifting_lemma[refl,refl,refl]"),
+        (("difunctional_all",), VIOLATED, "difunctional_all"),
+    ])
+    def test_each_contradiction_is_named(self, path, value, problem):
+        rec = consistent_record()
+        set_path(rec, path, value)
+        with pytest.raises(ConsistencyError, match=rf"^z3: .*\['{re.escape(problem)}'\]$"):
+            _check_consistency("z3", rec)
+
+    @pytest.mark.parametrize("path", [
+        ("shifting_lemma", "refl,refl,refl"),
+        ("difunctional_all",),
+    ])
+    def test_maltsev_checks_bind_only_a_maltsev_term(self, path):
+        rec = consistent_record()
+        rec["terms"]["maltsev"]["status"] = "not_found"
+        set_path(rec, path, VIOLATED)
+        _check_consistency("z3", rec)
+
+    def test_refused_ee_sweep_and_absent_terms_bind_nothing(self):
+        rec = consistent_record()
+        rec["ee_properties"] = "inconclusive: 2^12 candidate relations exceed budget 300"
+        _check_consistency("z3", rec)
+        for key in ("maltsev", "threeperm"):
+            rec["terms"][key]["status"] = "inconclusive"
+        for label in rec["shifting_lemma"]:
+            rec["shifting_lemma"][label] = VIOLATED
+        rec["difunctional_all"] = rec["goursat_identity_all"] = VIOLATED
+        _check_consistency("z3", rec)
 
 
 class TestBoxJoinReplay:

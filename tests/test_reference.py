@@ -23,9 +23,9 @@ distinct principal closures, order included, on seeded 4-element
 algebras, where the 2^16 bitmask loop is too slow.  They stay here as
 oracles for the shared kernel, the stacked closure, the enumeration,
 the vectorized builders, the block-wise clone, the pair-graph
-congruences, the join and meet tables of the modularity test, the
-stacked quantified check and the relational Shifting Lemma check in
-``relshift``, checked on random algebras with 1-3 elements and
+congruences, the join and meet tables of the modularity test, and the
+stacked Shifting Lemma kernel behind the quantified and the single-triple
+check in ``relshift``, checked on random algebras with 1-3 elements and
 operations of arity 0-3, on random unary algebras with 4-6 elements
 (every congruence lattice on at most 3 elements is modular), on pinned
 bundled, cyclic and seeded algebras up to the 16 elements of the
@@ -64,6 +64,7 @@ from relshift.checks import (
     RelationClass,
     SLResult,
     _common_carrier,
+    _shift_stack,
     enumerate_class_relations,
     enumerate_compatible_relations,
     resolve_budget,
@@ -863,6 +864,28 @@ def test_shifting_lemma_matches_tensor_kernel(n, data):
     r, s, t = (relations(data.draw, a, a) for _ in range(3))
     t = union(t, meet(r, s))  # widened so that R ^ S <= T
     assert shifting_lemma(r, s, t) == ref_shifting_lemma(r, s, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_shift_stack_matches_tensor_kernel_t_by_t(n, k, data):
+    # some T are widened so that R ^ S <= T, the others mostly are not
+    a = Algebra("set", Carrier(n), Signature(()), {})
+    r, s = relations(data.draw, a, a), relations(data.draw, a, a)
+    ts = [relations(data.draw, a, a) for _ in range(k)]
+    ts = [union(t, meet(r, s)) if data.draw(st.booleans()) else t for t in ts]
+    meets, bad = _shift_stack(r.members, s.members, np.array([t.members for t in ts]))
+    first = None
+    for i, t in enumerate(ts):
+        try:
+            want = ref_shifting_lemma(r, s, t)
+        except PreconditionError:
+            assert not meets[i]
+            continue
+        assert meets[i]
+        if first is None and not want.holds:
+            first = (i, want.quadruple)
+    assert bad == first
 
 
 def test_shifting_lemma_matches_tensor_kernel_on_witnesses():

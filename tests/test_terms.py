@@ -87,6 +87,27 @@ class TestCloneGeneration:
         assert [f.term for f in clone.functions] == ["x", "y", "z"]
         assert generate_ternary_clone(a, budget=4).complete
 
+    @pytest.mark.parametrize("name, budget, until_maltsev", [
+        ("z3", 5, False),
+        ("implication2", 37, False),
+        ("z3", 20, True),  # member 21 is the Mal'tsev term
+        ("const2", 3, False),  # the cut falls on the constant
+    ])
+    def test_steps_of_a_cut_clone_derive_no_member_past_the_budget(
+        self, name, budget, until_maltsev
+    ):
+        const2 = Algebra("const2", Carrier(2), Signature((("c", 0),)), {"c": (1,)})
+        a = {**bundled_corpus(), "const2": const2}[name]
+        clone = generate_ternary_clone(a, budget, until_maltsev=until_maltsev)
+        derived = sum(len(args[0]) if args else 1 for _, args in clone.steps)
+        assert not clone.complete
+        assert derived == len(clone.tables) == len(clone.terms) == budget
+
+    def test_nullary_term_prints_as_a_call(self):
+        a = Algebra("const2", Carrier(2), Signature((("c", 0),)), {"c": (1,)})
+        c = generate_ternary_clone(a).function(3)
+        assert (c.term, c.sexpr(), c.table) == (("c",), "(c)", (1,) * 8)
+
     def test_budget_must_cover_projections(self):
         with pytest.raises(ValueError):
             generate_ternary_clone(cyclic_group(2), budget=2)
