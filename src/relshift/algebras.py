@@ -381,6 +381,89 @@ def _joins(bottom: np.ndarray, principals: np.ndarray, close: Callable) -> list[
     return sorted(found.values(), key=lambda m: np.flatnonzero(m).tolist())
 
 
+def _bits(m: np.ndarray) -> int:
+    """The flat member positions of the boolean matrix ``m`` as the set
+    bits of one int: position i is bit i."""
+    return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
+
+
+def _principal_closures(
+    a: Algebra, b: Algebra, base: np.ndarray, spend: Callable[[], None]
+) -> dict[int, tuple[int, np.ndarray]]:
+    """Sg(base + cell j), as its bits and its matrix, for every cell j of
+    A x B outside ``base``, keyed by j; ``spend()`` runs before each
+    closure and raises to stop."""
+    out = {}
+    for j in np.flatnonzero(~base).tolist():
+        spend()
+        m = base.copy()
+        m.flat[j] = True
+        m = _close_between(a, b, m)
+        out[j] = (_bits(m), m)
+    return out
+
+
+def _closed_above(
+    a: Algebra,
+    b: Algebra,
+    above: np.ndarray,
+    principals: dict[int, tuple[int, np.ndarray]],
+    spend: Callable[[], None],
+) -> Iterator[Relation]:
+    """Every compatible relation A -> B containing ``above``, one at a
+    time, in _joins' order (sorted by flat member positions): a
+    close-by-one depth-first search (Kuznetsov 1993) in the order of
+    Ganter's NextClosure.
+
+    ``principals`` is ``_principal_closures`` of a base below ``above``.
+    The search starts at the closure C of ``above``.  At a closed node C
+    the free cells j, those outside C past the cells already decided, are
+    taken in order: j is skipped when Sg(base + j) has a cell below j
+    outside C; else C + Sg(base + j) is closed and the search descends
+    into it only when no cell below j was added.  ``spend()`` runs before
+    each closure, the first included, and raises to stop the search.  A
+    set sorts before every set it is a prefix of, so C comes just before
+    the subtree of the first free j above all its cells, or after all its
+    subtrees.  Sets of cells are Python ints (see _bits).  Every relation
+    is checked once more, on its own, by ``_is_compatible_between``.
+    """
+    everything = (1 << above.size) - 1
+
+    def checked(m: np.ndarray) -> Relation:
+        rel = Relation(a.carrier, b.carrier, m)
+        if not _is_compatible_between(a, b, rel):
+            raise RuntimeError(f"closure search kept an incompatible relation {rel.pairs()}")
+        return rel
+
+    spend()
+    m = _close_between(a, b, above.copy())
+    # each node: [C as bits, C as a matrix, the first cell not decided, C yielded]
+    nodes = [[_bits(m), m, 0, False]]
+    while nodes:
+        node = nodes[-1]
+        c, m, j, shown = node
+        free = everything & (~c >> j << j)
+        if not free:
+            nodes.pop()
+            if not shown:
+                yield checked(m)
+            continue
+        j = (free & -free).bit_length() - 1
+        node[2] = j + 1
+        if not shown and c >> j == 0:
+            node[3] = True
+            yield checked(m)
+        below = ~c & ((1 << j) - 1)
+        pbits, pm = principals[j]
+        if pbits & below:
+            continue
+        spend()
+        d = _close_between(a, b, m | pm)
+        dbits = _bits(d)
+        if not dbits & below:
+            nodes.append([dbits, d, j + 1, False])
+
+
 def all_congruences(a: Algebra) -> list[Relation]:
     """Every congruence of A, sorted by pair list: the joins of the principal
     congruences, which come as one stack from the pair graph of A, each

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -21,8 +21,10 @@ import numpy as np
 from .algebras import (
     Algebra,
     PreconditionError,
+    _closed_above,
     _is_compatible_between,
     _joins,
+    _principal_closures,
     _require_reflexive_compatible,
     _stack_closer,
     all_congruences,
@@ -59,7 +61,8 @@ DEFAULT_ENUM_BUDGET = 1 << 16
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed its candidate budget."""
+    """An enumeration would exceed its candidate budget, or a search its
+    closure budget."""
 
 
 class RelationClass(Enum):
@@ -240,6 +243,15 @@ def _shared_classes() -> Iterator[dict]:
         _SHARED.reset(token)
 
 
+def _class_base(a: Algebra, b: Algebra, cls: RelationClass) -> np.ndarray:
+    """The least matrix A -> B of class ARBITRARY (empty) or, for the
+    other classes, REFLEXIVE (the diagonal): choice is free off it."""
+    base = np.zeros((a.size, b.size), dtype=bool)
+    if cls is not RelationClass.ARBITRARY:
+        np.fill_diagonal(base, True)
+    return base
+
+
 def _class_list(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) -> list[Relation]:
     """The compatible relations A -> B of class ARBITRARY, REFLEXIVE or
     EQUIVALENCE (the last two with B = A), lexicographic: built once per
@@ -251,10 +263,8 @@ def _class_list(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) 
     with _shared_classes() as shared:
         key = (a, b, cls, None if eq else budget)
         if key not in shared:
-            base = np.zeros((a.size, b.size), dtype=bool)
-            if cls is RelationClass.REFLEXIVE:  # free choice only off the diagonal
-                np.fill_diagonal(base, True)
             try:
+                base = _class_base(a, b, cls)
                 shared[key] = all_congruences(a) if eq else _subalgebras(a, b, base, budget)
             except BudgetError as err:
                 shared[key] = err
@@ -293,6 +303,74 @@ def enumerate_class_relations(
     return _class_list(a, a, cls, budget)
 
 
+class _Search:
+    """The search of one check over classes the 2^k gate refuses: streams
+    of the compatible relations A -> B of a class containing a base, in
+    class order, by ``algebras._closed_above``.  The streams share one
+    budget of closures, the resolved enumeration budget, and compute the
+    principal closures of each class base once; a stream that would run
+    one closure more raises BudgetError, naming the budget and the
+    relations produced."""
+
+    def __init__(self, a: Algebra, b: Algebra, budget: int | None):
+        self.a, self.b = a, b
+        self.budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+        self.closures = self.produced = 0
+        self.principals: dict[bool, dict] = {}
+
+    def spend(self) -> None:
+        if self.closures == self.budget:
+            raise BudgetError(
+                f"search exhausted budget {self.budget} closures after {self.produced} relations"
+            )
+        self.closures += 1
+
+    def stream(self, cls: RelationClass, above: np.ndarray | None = None) -> Iterator[Relation]:
+        """The relations of class ARBITRARY, or else REFLEXIVE, containing
+        ``above``, in class order; REFLEXIVE_POSITIVE reads the REFLEXIVE
+        stream (see _of_class)."""
+        reflexive = cls is not RelationClass.ARBITRARY
+        base = _class_base(self.a, self.b, cls)
+        if reflexive not in self.principals:
+            self.principals[reflexive] = _principal_closures(self.a, self.b, base, self.spend)
+        bottom = base if above is None else base | above
+        for rel in _closed_above(self.a, self.b, bottom, self.principals[reflexive], self.spend):
+            self.produced += 1
+            yield rel
+
+
+def _of_class(cls: RelationClass, rels: Iterable[Relation]) -> Iterable[Relation]:
+    """``rels``, only its positive members when ``cls`` is REFLEXIVE_POSITIVE."""
+    if cls is RelationClass.REFLEXIVE_POSITIVE:
+        return (r for r in rels if is_positive(r))
+    return rels
+
+
+class _Kept:
+    """The items of an iterator, read only when first needed and kept:
+    every pass replays the prefix read so far, then reads on."""
+
+    def __init__(self, items: Iterator):
+        self.items, self.kept = items, []
+
+    def __iter__(self) -> Iterator:
+        for i in itertools.count():
+            if i == len(self.kept):
+                self.kept.extend(itertools.islice(self.items, 1))
+                if i == len(self.kept):
+                    return
+            yield self.kept[i]
+
+
+def _doubling_blocks(items: Iterator) -> Iterator[list]:
+    """``items`` in lists of 1, 2, 4, ... and at most 256 items: a search
+    often stops at one of the first."""
+    size = 1
+    while block := list(itertools.islice(items, size)):
+        yield block
+        size = min(2 * size, 256)
+
+
 def shifting_lemma_forall(
     a: Algebra,
     class_r: RelationClass,
@@ -302,23 +380,26 @@ def shifting_lemma_forall(
 ) -> SLResult:
     """Shifting Lemma quantified over all compatible relations of the given
     classes on A.  Returns the first violation in lexicographic triple
-    order, or "inconclusive" when enumeration would exceed the budget.
-    Each distinct class is requested once, in order, within one
+    order.  Each distinct class is requested once, in order, within one
     ``_shared_classes`` scope (the caller's, if one is open), so each
     enumeration is built once: REFLEXIVE_POSITIVE and REFLEXIVE share
     the REFLEXIVE list.
 
     The T relations are stacked once, and ``_shift_stack`` decides every
     T at once for each (R, S) in order: it skips the T that fail
-    R ^ S <= T and gives the first violating T with its least quadruple."""
+    R ^ S <= T and gives the first violating T with its least quadruple.
+
+    When the budget refuses a class list, the classes are searched instead
+    (``_search_forall``), and the check is "inconclusive" only when the
+    search exhausts the same budget, counted in closures."""
     try:
         with _shared_classes():
             rels = {
                 cls: enumerate_class_relations(a, cls, budget)
                 for cls in dict.fromkeys((class_r, class_s, class_t))
             }
-    except BudgetError as e:
-        return SLResult("inconclusive", reason=str(e))
+    except BudgetError:
+        return _search_forall(a, class_r, class_s, class_t, budget)
     ts = rels[class_t]
     stack = np.array([t.members for t in ts])
     for r, s in itertools.product(rels[class_r], rels[class_s]):
@@ -326,6 +407,59 @@ def shifting_lemma_forall(
         if bad is not None:
             i, quadruple = bad
             return SLResult("violated", quadruple=quadruple, triple=(r, s, ts[i]))
+    return SLResult("holds")
+
+
+def _search_forall(
+    a: Algebra,
+    class_r: RelationClass,
+    class_s: RelationClass,
+    class_t: RelationClass,
+    budget: int | None,
+) -> SLResult:
+    """``shifting_lemma_forall`` over streams, stopping at the first
+    violation.  R and S are read lazily, and only the S prefix read so far
+    is kept; R reads that prefix too when both come from one stream.  For
+    each (R, S) the T are the class members containing R ^ S, a fresh
+    stream above it (congruences stay one stack, as in the complete
+    check), fed to ``_shift_stack`` in blocks.  Every stream is a
+    subsequence of its class list, so the first violation is the triple
+    and quadruple the complete lists give."""
+    search = _Search(a, a, budget)
+
+    def source(cls: RelationClass) -> Iterator[Relation]:
+        if cls is RelationClass.EQUIVALENCE:
+            return iter(_class_list(a, a, cls, budget))
+        return search.stream(cls)
+
+    def drawn(cls: RelationClass) -> RelationClass:
+        return RelationClass.REFLEXIVE if cls is RelationClass.REFLEXIVE_POSITIVE else cls
+
+    kept = _Kept(source(class_s))
+    rs = kept if drawn(class_r) is drawn(class_s) else source(class_r)
+    if class_t is RelationClass.EQUIVALENCE:
+        congruences = _class_list(a, a, class_t, budget)
+        stack = np.array([t.members for t in congruences])
+
+    def t_blocks(r: Relation, s: Relation) -> Iterator[tuple[list[Relation], np.ndarray]]:
+        """The T to test with (R, S), in order, as (relations, stack) blocks."""
+        if class_t is RelationClass.EQUIVALENCE:
+            yield congruences, stack
+            return
+        above = _of_class(class_t, search.stream(class_t, r.members & s.members))
+        for ts in _doubling_blocks(iter(above)):
+            yield ts, np.array([t.members for t in ts])
+
+    try:
+        for r in _of_class(class_r, rs):
+            for s in _of_class(class_s, kept):
+                for ts, stack_t in t_blocks(r, s):
+                    _, bad = _shift_stack(r.members, s.members, stack_t)
+                    if bad is not None:
+                        i, quadruple = bad
+                        return SLResult("violated", quadruple=quadruple, triple=(r, s, ts[i]))
+    except BudgetError as e:
+        return SLResult("inconclusive", reason=str(e))
     return SLResult("holds")
 
 
@@ -355,14 +489,18 @@ def _every_compatible(
     reason: str,
 ) -> SLResult:
     """Whether ``holds(D)`` for every compatible D: A -> B; the first D that
-    fails is reported as the triple (D, D, D) with ``reason``."""
+    fails is reported as the triple (D, D, D) with ``reason``.  A list the
+    budget refuses is searched as a stream instead, which keeps nothing."""
     try:
         rels = enumerate_compatible_relations(a, b, budget)
+    except BudgetError:
+        rels = _Search(a, a if b is None else b, budget).stream(RelationClass.ARBITRARY)
+    try:
+        for d in rels:
+            if not holds(d):
+                return SLResult("violated", triple=(d, d, d), reason=reason)
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
-    for d in rels:
-        if not holds(d):
-            return SLResult("violated", triple=(d, d, d), reason=reason)
     return SLResult("holds")
 
 
@@ -387,12 +525,17 @@ def goursat_identity_all(
 
 def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:
     """Whether every reflexive positive compatible relation on A is an
-    equivalence, or "inconclusive: …" when the enumeration exceeds the budget."""
+    equivalence, or "inconclusive: …" when the search of a list the budget
+    refuses exhausts that budget in closures."""
+    cls = RelationClass.REFLEXIVE_POSITIVE
     try:
-        pos = enumerate_class_relations(a, RelationClass.REFLEXIVE_POSITIVE, budget)
+        pos = enumerate_class_relations(a, cls, budget)
+    except BudgetError:
+        pos = _of_class(cls, _Search(a, a, budget).stream(cls))
+    try:
+        return all(is_equivalence(p) for p in pos)
     except BudgetError as err:
         return f"inconclusive: {err}"
-    return all(is_equivalence(p) for p in pos)
 
 
 def ee_properties(a: Algebra, e: Relation, *, sweep: bool | str | None = None) -> dict:

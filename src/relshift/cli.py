@@ -21,6 +21,7 @@ that is not a positive integer is a usage error.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -246,6 +247,22 @@ def terms(kind, algebra_path, budget):
     return {"identity_set": "3perm", "r": _term_doc(r), "s": _term_doc(s)}, "found"
 
 
+def _require_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, with the message of a
+    failed write, without creating or truncating the file."""
+    p = pathlib.Path(path)
+    if p.is_dir():
+        err = errno.EISDIR
+    elif p.exists():
+        err = 0 if os.access(p, os.W_OK) else errno.EACCES
+    elif not p.parent.is_dir():
+        err = errno.ENOTDIR if any(q.is_file() for q in p.parents) else errno.ENOENT
+    else:
+        err = 0 if os.access(p.parent, os.W_OK | os.X_OK) else errno.EACCES
+    if err:
+        raise click.ClickException(f"cannot write report to {path}: {os.strerror(err)}")
+
+
 @main.command()
 @click.option("--corpus", "corpus_path", default="bundled", show_default=True)
 @click.option("--out", "out_path", required=True)
@@ -263,6 +280,7 @@ def suite(corpus_path, out_path, seed):
         if not corpus:
             raise click.ClickException(f"no algebra files in {corpus_path}")
         corpus_id = str(d)
+    _require_writable(out_path)
     report = run_suite(corpus, seed=seed, corpus_id=corpus_id)
     text = json.dumps(report, indent=2, sort_keys=True)
     try:

@@ -241,9 +241,9 @@ def generate_ternary_clone(
                 members[row] = None
                 new.append(j)
         if until_maltsev and new:
-            ok = (block.take(new, 0).take(columns, 1) == values).all(1).tolist()
-            if True in ok:
-                p = ok.index(True)
+            hits = np.flatnonzero((block.take(new, 0).take(columns, 1) == values).all(1))
+            if len(hits):
+                p = int(hits[0])
                 for _ in new[p + 1 :]:  # the members kept after p
                     members.popitem()
                 del new[p + 1 :]

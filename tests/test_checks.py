@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from relshift import checks
+from relshift import algebras, checks
 from relshift.algebras import Algebra, Signature, all_congruences
 from relshift.checks import (
     BudgetError,
@@ -23,7 +23,7 @@ from relshift.checks import (
     shifting_lemma_forall,
 )
 from relshift.constructions import maltsev_sl_witness
-from relshift.harness import bundled_corpus
+from relshift.harness import SUITE_CLASS_COMBOS, bundled_corpus
 from relshift.relations import (
     Carrier,
     Relation,
@@ -356,22 +356,24 @@ class TestShiftingLemmaForall:
         assert (got, got.triple) == (want, want.triple)
 
     def test_budget_gives_inconclusive(self):
+        # the refused class is searched; its 20 principal closures exceed 16
         big = Algebra("set5", Carrier(5), Signature(()), {})
         res = shifting_lemma_forall(big, *(RelationClass.REFLEXIVE,) * 3, budget=16)
         assert res.verdict == "inconclusive"
-        assert "budget" in res.reason
+        assert res.reason == "search exhausted budget 16 closures after 0 relations"
 
     @pytest.mark.parametrize("classes", [
         "reflpos,refl,reflpos", "refl,reflpos,refl", "reflpos,reflpos,reflpos", "refl,refl,refl",
     ])
     def test_reflexive_positive_budget_reason(self, classes):
         # REFLEXIVE_POSITIVE is read off REFLEXIVE, refused by the same gate
-        # on the diagonal base: 5 * 4 free cells
+        # on the diagonal base (5 * 4 free cells) and searched on the same
+        # stream, whose 20 principal closures exceed the budget
         big = Algebra("set5", Carrier(5), Signature(()), {})
         layout = [RelationClass.parse(c) for c in classes.split(",")]
         res = shifting_lemma_forall(big, *layout, budget=16)
         assert (res.verdict, res.reason) == (
-            "inconclusive", "2^20 candidate relations exceed budget 16"
+            "inconclusive", "search exhausted budget 16 closures after 0 relations"
         )
 
 
@@ -391,7 +393,13 @@ class TestCharacterizationScans:
 
     def test_budget_inconclusive(self):
         big = Algebra("set3", Carrier(3), Signature(()), {})
-        assert difunctional_all(big, budget=16).verdict == "inconclusive"
+        # 2^9 candidates exceed 16, but the search finds the first
+        # non-difunctional relation within 16 closures
+        assert difunctional_all(big, budget=16) == difunctional_all(big)
+        res = difunctional_all(big, budget=9)  # the 9 principal closures
+        assert (res.verdict, res.reason) == (
+            "inconclusive", "search exhausted budget 9 closures after 0 relations"
+        )
 
     def test_ee_properties_diagonal(self):
         z2 = cyclic_group(2)
@@ -437,7 +445,92 @@ class TestExplicitBudget:
         assert checks.resolve_budget(np.int64(16), 1) == 16
         assert type(checks.resolve_budget(np.int64(16), 1)) is int
         assert difunctional_all(cyclic_group(2), budget=16).holds
-        assert difunctional_all(cyclic_group(2), budget=15).verdict == "inconclusive"
+        # 2^4 candidates exceed 15; the search holds after 11 closures
+        assert difunctional_all(cyclic_group(2), budget=15).holds
+        assert difunctional_all(cyclic_group(2), budget=11).holds
+        res = difunctional_all(cyclic_group(2), budget=10)
+        assert (res.verdict, res.reason) == (
+            "inconclusive", "search exhausted budget 10 closures after 4 relations"
+        )
+
+
+def symmetric_group3():
+    """S3 as (mul, inv, e): permutations of {0, 1, 2} in lexicographic
+    order, (p q)(x) = p(q(x))."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = tuple(index[tuple(p[q[x]] for x in range(3))] for p in perms for q in perms)
+    inv = tuple(index[tuple(p.index(x) for x in range(3))] for p in perms)
+    return Algebra(
+        "s3", Carrier(6), Signature((("mul", 2), ("inv", 1), ("e", 0))),
+        {"mul": mul, "inv": inv, "e": (index[(0, 1, 2)],)},
+    )
+
+
+LAYOUTS = {label: tuple(map(RelationClass.parse, label.split(","))) for label in SUITE_CLASS_COMBOS}
+
+
+class TestSearch:
+    """Classes the 2^k gate refuses are searched in class order, within
+    the same budget counted in closures."""
+
+    @pytest.mark.parametrize("name", sorted(bundled_corpus()))
+    def test_each_budget_gives_the_default_result_or_inconclusive(self, name, monkeypatch):
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        a = bundled_corpus()[name]
+        n = a.size
+        quantified = {
+            label: (lambda budget, c=classes: shifting_lemma_forall(a, *c, budget=budget),
+                    n * n if RelationClass.ARBITRARY in classes else n * n - n)
+            for label, classes in LAYOUTS.items()
+        }
+        quantified["difunctional_all"] = (lambda budget: difunctional_all(a, budget=budget), n * n)
+        quantified["goursat_identity_all"] = (
+            lambda budget: goursat_identity_all(a, budget=budget), n * n
+        )
+        searched_and_decided = 0
+        for label, (check, k) in quantified.items():
+            want = check(None)
+            for budget in [2**i for i in range(k)] + [2**k - 1]:
+                got = check(budget)
+                if got.verdict == "inconclusive":
+                    assert got.reason.startswith(f"search exhausted budget {budget} closures"), label
+                else:
+                    assert (got, got.triple) == (want, want.triple), (label, budget)
+                    searched_and_decided += budget < 2 ** k
+        k = n * n - n
+        want = reflexive_positive_all_equivalence(a)
+        for budget in [2**i for i in range(k)] + [2**k - 1]:
+            got = reflexive_positive_all_equivalence(a, budget)
+            if got != want:
+                assert got.startswith(f"inconclusive: search exhausted budget {budget} closures")
+        assert searched_and_decided
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: cyclic_group(n) for n in (5, 6, 7, 8)), symmetric_group3,
+    ], ids=["z5", "z6", "z7", "z8", "s3"])
+    def test_reach_beyond_the_gate(self, make, monkeypatch):
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        a = make()
+        with pytest.raises(BudgetError):  # every class but the congruences is refused
+            enumerate_class_relations(a, RelationClass.REFLEXIVE)
+        for label, classes in LAYOUTS.items():
+            assert shifting_lemma_forall(a, *classes).verdict == "holds", label
+        assert difunctional_all(a).holds
+        assert goursat_identity_all(a).holds
+        assert reflexive_positive_all_equivalence(a) is True
+
+    def test_searched_relations_are_checked_once_more(self, monkeypatch):
+        monkeypatch.setattr(algebras, "_is_compatible_between", lambda a, b, r: False)
+        with pytest.raises(RuntimeError, match="incompatible relation"):
+            difunctional_all(cyclic_group(3), budget=16)
+
+    def test_search_between_sizes(self):
+        # Z2 -> Z4 has 2^8 candidates: refused at budget 128 and searched
+        corpus = bundled_corpus()
+        z2, z4 = corpus["z2"], corpus["z4"]
+        assert difunctional_all(z2, z4, budget=128) == difunctional_all(z2, z4)
+        assert goursat_identity_all(z4, z2, budget=128) == goursat_identity_all(z4, z2)
 
 
 class TestTermImplications:

@@ -279,7 +279,7 @@ class TestBudgetInput:
             env={"RELSHIFT_BUDGET": "8"},
         )
         assert code == 3
-        assert doc["reason"] == "2^4 candidate relations exceed budget 8"
+        assert doc["reason"] == "search exhausted budget 8 closures after 3 relations"
 
 
 class TestWitness:
@@ -420,6 +420,25 @@ class TestSuiteCommand:
             "error": f"cannot write report to {out}: No such file or directory"
         }
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("where, message", [
+        ("missing/r.json", "No such file or directory"),
+        ("file/r.json", "Not a directory"),
+        ("file/missing/r.json", "Not a directory"),
+        ("", "Is a directory"),
+    ])
+    def test_unwritable_report_path_is_refused_before_the_run(
+        self, runner, tmp_path, monkeypatch, where, message
+    ):
+        (tmp_path / "file").write_text("kept")
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / where
+        code, doc = run(runner, ["suite", "--out", str(out)])
+        assert (code, doc) == (2, {"error": f"cannot write report to {out}: {message}"})
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_duplicate_algebra_name_exits_2(self, runner, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -104,7 +104,10 @@ class TestSuite:
     def test_budget_reaches_term_searches(self):
         z3 = bundled_corpus()["z3"]
         rec = run_suite({"z3": z3}, budget=4)["algebras"]["z3"]
-        assert rec["shifting_lemma"]["refl,refl,refl"]["verdict"] == "inconclusive"
+        # the refused class is searched, and its 6 principal closures exceed 4
+        assert rec["shifting_lemma"]["refl,refl,refl"] == {
+            "verdict": "inconclusive", "reason": "search exhausted budget 4 closures after 0 relations"
+        }
         assert rec["terms"]["maltsev"]["status"] == "inconclusive"
         assert rec["terms"]["threeperm"]["status"] == "inconclusive"
 
@@ -178,21 +181,18 @@ class TestSuite:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert text == GOLDEN_BUDGET_300.read_text()
         recs = report["algebras"]
-        # z3 decides the reflexive classes (2^6 candidates) while its
-        # arbitrary enumeration (2^9) is refused
-        assert all(v["verdict"] != "inconclusive" for v in recs["z3"]["shifting_lemma"].values())
-        refused = "2^9 candidate relations exceed budget 300"
-        assert recs["z3"]["difunctional_all"]["reason"] == refused
-        assert recs["z3"]["goursat_identity_all"]["reason"] == refused
-        # z4 and n5_unary replay one refusal per class in every check
+        # z3 decides the reflexive classes (2^6 candidates) from their lists;
+        # its arbitrary class (2^9) and every class of z4 and n5_unary (2^12
+        # reflexive, 2^16 arbitrary candidates) are refused and searched
+        # within 300 closures, to the verdicts of the default budget
+        default, got = (json.loads(t)["algebras"] for t in (GOLDEN.read_text(), text))
+        for name in ("z3", "z4", "n5_unary"):
+            for check in ("shifting_lemma", "difunctional_all", "goursat_identity_all"):
+                assert got[name][check] == default[name][check]
+        # the E facts need every reflexive relation, so its complete list
         for name in ("z4", "n5_unary"):
-            rec = recs[name]
             refl = "2^12 candidate relations exceed budget 300"
-            for label in ("refl,refl,refl", "refl,eq,refl", "reflpos,refl,reflpos"):
-                assert rec["shifting_lemma"][label]["reason"] == refl
-            assert rec["ee_properties"] == f"inconclusive: {refl}"
-            for check in ("difunctional_all", "goursat_identity_all"):
-                assert rec[check]["reason"] == "2^16 candidate relations exceed budget 300"
+            assert recs[name]["ee_properties"] == f"inconclusive: {refl}"
 
     def test_determinism(self, report):
         again = run_suite(bundled_corpus(), seed=7)
@@ -237,9 +237,9 @@ class TestSuite:
         z3 = bundled_corpus()["z3"]
         record = run_suite({"z3": z3}, budget=300)["algebras"]["z3"]
         assert builds == {"_subalgebras": 2, "all_congruences": 1}
-        refused = "2^9 candidate relations exceed budget 300"
-        assert record["difunctional_all"]["reason"] == refused
-        assert record["goursat_identity_all"]["reason"] == refused
+        # the refused arbitrary class (2^9 candidates) is searched instead
+        assert record["difunctional_all"] == {"verdict": "holds"}
+        assert record["goursat_identity_all"] == {"verdict": "holds"}
 
     def test_shared_lists_are_fresh_lists_of_the_same_relations(self, builds):
         z3 = bundled_corpus()["z3"]

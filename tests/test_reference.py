@@ -47,8 +47,10 @@ from relshift.algebras import (
     Algebra,
     Signature,
     _close_between,
+    _closed_above,
     _is_compatible_between,
     _is_modular,
+    _principal_closures,
     _stack_closer,
     all_congruences,
     as_paired_object,
@@ -64,7 +66,9 @@ from relshift.checks import (
     RelationClass,
     SLResult,
     _common_carrier,
+    _search_forall,
     _shift_stack,
+    _subalgebras,
     enumerate_class_relations,
     enumerate_compatible_relations,
     resolve_budget,
@@ -738,6 +742,75 @@ def test_modularity_of_m3():
 
 
 LAYOUTS = {label: tuple(map(RelationClass.parse, label.split(","))) for label in SUITE_CLASS_COMBOS}
+
+
+@st.composite
+def stream_cases(draw):
+    """Two algebras A, B of one signature, with operations of arity 0-3,
+    and a base matrix A -> B: empty, with A of 2-3 elements and B of 1-3,
+    or, with A = B of 2-4 elements, the diagonal, or the diagonal and
+    random cells.  An empty base on 4 elements would allow 2^16 members."""
+    sig = draw(signatures())
+    kind = draw(st.sampled_from(["empty", "diagonal", "diagonal and cells"]))
+    sizes = st.integers(2, 3 if kind == "empty" else 4)
+    n = draw(sizes)
+    a = Algebra("random", Carrier(n), sig, {
+        op: tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+        for op, k in sig.ops
+    })
+    if kind == "empty":
+        b = draw(algebras(sig))
+        return a, b, np.zeros((n, b.size), dtype=bool)
+    base = np.eye(n, dtype=bool)
+    if kind == "diagonal and cells":
+        base |= relations(draw, a, a).members
+    return a, a, base
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream_cases())
+def test_closure_stream_matches_complete_list(case):
+    a, b, base = case
+    closures = []
+    principals = _principal_closures(a, b, base, lambda: closures.append(1))
+    assert len(closures) == np.count_nonzero(~base)
+    got = list(_closed_above(a, b, base, principals, lambda: closures.append(1)))
+    assert got == _subalgebras(a, b, base, 2 ** np.count_nonzero(~base) + 1)
+    # the first closure, of the base, and one per node at most
+    assert len(closures) <= len(principals) + 1 + len(got) * len(principals)
+
+
+def assert_search_matches_complete_lists(a, classes):
+    got = _search_forall(a, *classes, 1 << 40)
+    want = shifting_lemma_forall(a, *classes)
+    assert (got, got.triple) == (want, want.triple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures().flatmap(algebras))
+def test_searched_shifting_lemma_matches_complete_lists(a):
+    # arbitrary R and S only on 2 elements: 3 elements allow 2^9 of each
+    arbitrary = [(RelationClass.ARBITRARY,) * 3] if a.size < 3 else []
+    for classes in [*LAYOUTS.values(), *arbitrary, LAYOUTS["refl,refl,refl"][:1] + (
+        RelationClass.REFLEXIVE_POSITIVE, RelationClass.EQUIVALENCE
+    )]:
+        assert_search_matches_complete_lists(a, classes)
+
+
+@pytest.mark.parametrize("name", ["z4", "n5_unary"])
+@pytest.mark.parametrize("label", ["any,any,any", "refl,any,refl", "any,refl,eq"])
+def test_searched_shifting_lemma_matches_complete_lists_on_bundled(corpus, name, label):
+    assert_search_matches_complete_lists(corpus[name], tuple(map(RelationClass.parse, label.split(","))))
+
+
+def test_unary_cycle_violates_the_reflexive_shifting_lemma():
+    # 2^20 candidates are refused; the search stops at the first violation
+    u5 = Algebra("u5", Carrier(5), Signature((("f", 1),)), {"f": (1, 2, 3, 4, 0)})
+    refl = (RelationClass.REFLEXIVE,) * 3
+    got = shifting_lemma_forall(u5, *refl)
+    assert got.verdict == "violated"
+    assert ref_shifting_lemma(*got.triple) == SLResult("violated", quadruple=got.quadruple)
+    assert (got, got.triple) == (lambda w: (w, w.triple))(ref_shifting_lemma_forall(u5, *refl, 1 << 40))
 
 
 def assert_forall_matches_reference(a, classes):
