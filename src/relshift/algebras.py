@@ -154,18 +154,44 @@ def is_compatible(a: Algebra, r: Relation) -> bool:
     only, as in _close_between, not to all (n^2)^k tuples of cells as in
     _stack_closer: the checks call it on carriers of up to 16 elements.
     """
-    if r.dom != a.carrier or r.cod != a.carrier:
+    if r.members.shape != (a.size, a.size):  # carriers are equal iff their sizes are
         raise ShapeError("relation carrier does not match algebra carrier")
-    return _is_compatible_between(a, a, r)
+    return bool(_is_compatible_between(a, a, r.members[None])[0])
 
 
-def _is_compatible_between(a: Algebra, b: Algebra, r: Relation) -> bool:
-    """Compatibility of R: A -> B for same-signature algebras A and B."""
-    xs, ys = np.nonzero(r.members)
-    for op, _ in a.sig.ops:
-        if not r.members[_apply_all(a.table_array(op), xs), _apply_all(b.table_array(op), ys)].all():
-            return False
-    return True
+def _is_compatible_between(a: Algebra, b: Algebra, stack: np.ndarray) -> np.ndarray:
+    """Compatibility of every matrix of the boolean stack (K, |A|, |B|) of
+    relations A -> B, for same-signature algebras A and B: one bool per
+    matrix.
+
+    Each operation is applied once, to the tuples of members of the
+    stack's union, and a matrix fails when a tuple of its own members
+    lands outside it; the matrices still passing are tested a block of
+    _STACK_CELLS tuples at a time.  A stack of one is its own union, so
+    each of those tuples is its own: only their images are tested, up to
+    the first operation that fails, as ``is_compatible`` always has.
+    """
+    union = stack[0] if len(stack) == 1 else stack.any(0)
+    xs, ys = np.nonzero(union)
+    applied = (
+        (arity, _apply_all(a.table_array(op), xs), _apply_all(b.table_array(op), ys))
+        for op, arity in a.sig.ops
+    )
+    if len(stack) == 1:
+        for _, fx, fy in applied:
+            images = union[fx, fy]
+            if np.count_nonzero(images) < images.size:
+                return np.array([False])
+        return np.array([True])
+    members = stack[:, xs, ys]
+    ok = np.ones(len(stack), dtype=bool)
+    for arity, fx, fy in applied:
+        for rows in _blocks(np.flatnonzero(ok), len(xs) ** arity):
+            lost = ~stack[rows.reshape(-1, *(1,) * arity), fx, fy]
+            for shape in _GRID_SHAPES[arity]:
+                lost &= members[rows].reshape(len(rows), *shape)
+            ok[rows] = ~lost.reshape(len(rows), -1).any(1)
+    return ok
 
 
 # _GRID_SHAPES[k][i]: the shape that lays a vector along axis i of k axes
@@ -228,9 +254,9 @@ _STACK_CELLS = 1 << 20
 
 
 def _blocks(xs: np.ndarray, row_cells: int) -> Iterator[np.ndarray]:
-    """``xs`` as views of consecutive rows, each block making at most
+    """``xs`` as slices of consecutive rows, each block making at most
     _STACK_CELLS cells when one row makes ``row_cells`` (one row at least)."""
-    step = max(1, _STACK_CELLS // row_cells)
+    step = max(1, _STACK_CELLS // max(row_cells, 1))
     return (xs[i:i + step] for i in range(0, len(xs), step))
 
 
@@ -431,7 +457,7 @@ def _closed_above(
 
     def checked(m: np.ndarray) -> Relation:
         rel = Relation(a.carrier, b.carrier, m)
-        if not _is_compatible_between(a, b, rel):
+        if not _is_compatible_between(a, b, rel.members[None])[0]:
             raise RuntimeError(f"closure search kept an incompatible relation {rel.pairs()}")
         return rel
 

@@ -4,6 +4,14 @@ All quantifier scans are exhaustive over the finite carriers; every
 "violated" verdict carries the lexicographically least witness so outputs
 are stable, and every budget-limited scan reports "inconclusive" rather
 than silently passing.
+
+A complete class list is decided on stacks, a block of _STACK_CELLS
+cells at a time: ``_shift_stack`` takes a stack of S and a stack of T,
+the sweeps take the stacked predicates of ``relations``, and each
+enumeration re-checks its relations' compatibility in one call.  A
+single relation or triple is a stack of one, and a searched stream is
+fed one relation at a time, so that a search reads no further than its
+first counterexample.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import numpy as np
 from .algebras import (
     Algebra,
     PreconditionError,
+    _blocks,
     _closed_above,
     _is_compatible_between,
     _joins,
@@ -32,9 +41,11 @@ from .algebras import (
 from .relations import (
     Relation,
     ShapeError,
+    _difunctional_stack,
+    _equivalence_stack,
+    _goursat_stack,
     _is_int,
     compose,
-    is_difunctional,
     is_equivalence,
     is_positive,
     opposite,
@@ -130,38 +141,41 @@ def _common_carrier(r: Relation, s: Relation, t: Relation) -> None:
         raise ShapeError("R, S, T must be relations on one common carrier")
 
 
-def _shift_stack(r: np.ndarray, s: np.ndarray, ts: np.ndarray) -> tuple:
-    """Decide the Shifting Lemma for the matrices R and S and each T of the
-    stack ``ts``: (x, y) in R ^ T, (x, u) and (y, v) in S and (u, v) in R
-    imply (u, v) in T.  With gap = R ^ not-T it holds iff R ^ T ^ S-op gap S
-    is empty; its float32 products are nonzero exactly where a path exists.
-    Returns the mask of the T with R ^ S <= T and, for the first of them
-    that violates the lemma, (its index, the least quadruple), or None."""
+def _shift_stack(r: np.ndarray, ss: np.ndarray, ts: np.ndarray) -> tuple:
+    """Decide the Shifting Lemma for the matrix R, each S of the stack
+    ``ss`` and each T of the stack ``ts``: (x, y) in R ^ T, (x, u) and
+    (y, v) in S and (u, v) in R imply (u, v) in T.  With gap = R ^ not-T
+    it holds iff R ^ T ^ S-op gap S is empty; its float32 products are
+    nonzero exactly where a path exists.  Returns the (S, T) mask of
+    R ^ S <= T and, for the first (S, T) in row-major order that meets it
+    and violates the lemma, (the index of S, the index of T, the least
+    quadruple), or None."""
     gap = r > ts  # R ^ not-T, in one pass
-    meets = ~(gap & s).any((1, 2))
-    sf = s.astype(np.float32)
-    hits = r & ts & (sf @ gap.astype(np.float32) @ sf.T > 0)
-    bad = meets & hits.any((1, 2))
+    meets = ~(gap & ss[:, None]).any((2, 3))
+    sf = ss.astype(np.float32)[:, None]
+    hits = r & ts & (sf @ gap.astype(np.float32) @ sf.swapaxes(2, 3) > 0)
+    bad = meets & hits.any((2, 3))
     if not bad.any():
         return meets, None
-    i = int(bad.argmax())
-    x, y = (int(j) for j in np.argwhere(hits[i])[0])
+    j, i = divmod(int(bad.argmax()), bad.shape[1])
+    s = ss[j]
+    x, y = (int(k) for k in np.argwhere(hits[j, i])[0])
     u = int(np.argmax(s[x] & (gap[i] @ s[y])))
     v = int(np.argmax(s[y] & gap[i, u]))
-    return meets, (i, (x, y, u, v))
+    return meets, (j, i, (x, y, u, v))
 
 
 def shifting_lemma(r: Relation, s: Relation, t: Relation) -> SLResult:
     """Exhaustive check of the shifting implication for one triple, by
-    ``_shift_stack`` on a stack of one T.  Requires R ^ S <= T; a violation
-    reports the lexicographically least quadruple."""
+    ``_shift_stack`` on stacks of one S and one T.  Requires R ^ S <= T; a
+    violation reports the lexicographically least quadruple."""
     _common_carrier(r, s, t)
-    meets, bad = _shift_stack(r.members, s.members, t.members[None])
-    if not meets[0]:
+    meets, bad = _shift_stack(r.members, s.members[None], t.members[None])
+    if not meets[0, 0]:
         raise PreconditionError("R ^ S <= T fails")
     if bad is None:
         return SLResult("holds")
-    return SLResult("violated", quadruple=bad[1])
+    return SLResult("violated", quadruple=bad[2])
 
 
 def resolve_budget(budget: int | None, default: int) -> int:
@@ -195,8 +209,8 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int) -> list[
     all closed, a stack at a time, by one ``algebras._stack_closer``.  The
     budget, resolved already, counts the 2^k candidates, k the positions
     outside ``base``, and refuses before any closure runs, so the default
-    budget leaves at most 16 free cells to the stacked kernel.  Every
-    relation kept is checked once more, on its own, by
+    budget leaves at most 16 free cells to the stacked kernel.  The
+    relations kept are checked once more, in one stacked call of
     ``_is_compatible_between``.
 
     Only ``_class_list`` calls it, once per class and budget of the open
@@ -211,11 +225,12 @@ def _subalgebras(a: Algebra, b: Algebra, base: np.ndarray, budget: int) -> list[
     xs, ys = np.nonzero(~start)
     principals = np.repeat(start[None], len(xs), axis=0)
     principals[np.arange(len(xs)), xs, ys] = True
-    out = [Relation(a.carrier, b.carrier, m) for m in _joins(start, close(principals), close)]
-    for rel in out:
-        if not _is_compatible_between(a, b, rel):
-            raise RuntimeError(f"closure enumeration kept an incompatible relation {rel.pairs()}")
-    return out
+    found = np.array(_joins(start, close(principals), close))
+    ok = _is_compatible_between(a, b, found)
+    if not ok.all():
+        bad = Relation(a.carrier, b.carrier, found[ok.argmin()])
+        raise RuntimeError(f"closure enumeration kept an incompatible relation {bad.pairs()}")
+    return [Relation(a.carrier, b.carrier, m) for m in found]
 
 
 # The class lists of the open ``_shared_classes`` scope, keyed by (A, B,
@@ -385,9 +400,12 @@ def shifting_lemma_forall(
     enumeration is built once: REFLEXIVE_POSITIVE and REFLEXIVE share
     the REFLEXIVE list.
 
-    The T relations are stacked once, and ``_shift_stack`` decides every
-    T at once for each (R, S) in order: it skips the T that fail
-    R ^ S <= T and gives the first violating T with its least quadruple.
+    The S and the T relations are stacked once each, and for each R in
+    order ``_shift_stack`` decides every (S, T) of a block of S at once,
+    the blocks cut at _STACK_CELLS cells of (S, T) matrices: it skips the
+    (S, T) that fail R ^ S <= T and gives the first violating (S, T) in
+    row-major order, with its least quadruple, so the triple is the first
+    in lexicographic order.
 
     When the budget refuses a class list, the classes are searched instead
     (``_search_forall``), and the check is "inconclusive" only when the
@@ -400,13 +418,14 @@ def shifting_lemma_forall(
             }
     except BudgetError:
         return _search_forall(a, class_r, class_s, class_t, budget)
-    ts = rels[class_t]
-    stack = np.array([t.members for t in ts])
-    for r, s in itertools.product(rels[class_r], rels[class_s]):
-        _, bad = _shift_stack(r.members, s.members, stack)
-        if bad is not None:
-            i, quadruple = bad
-            return SLResult("violated", quadruple=quadruple, triple=(r, s, ts[i]))
+    ss, ts = rels[class_s], rels[class_t]
+    stack_s, stack_t = (np.array([x.members for x in xs]) for xs in (ss, ts))
+    for r in rels[class_r]:
+        for js in _blocks(np.arange(len(ss)), stack_t.size):
+            _, bad = _shift_stack(r.members, stack_s[js], stack_t)
+            if bad is not None:
+                j, i, quadruple = bad
+                return SLResult("violated", quadruple=quadruple, triple=(r, ss[js[j]], ts[i]))
     return SLResult("holds")
 
 
@@ -422,7 +441,7 @@ def _search_forall(
     is kept; R reads that prefix too when both come from one stream.  For
     each (R, S) the T are the class members containing R ^ S, a fresh
     stream above it (congruences stay one stack, as in the complete
-    check), fed to ``_shift_stack`` in blocks.  Every stream is a
+    check), fed to ``_shift_stack`` in blocks, with a stack of one S.  Every stream is a
     subsequence of its class list, so the first violation is the triple
     and quadruple the complete lists give."""
     search = _Search(a, a, budget)
@@ -454,9 +473,9 @@ def _search_forall(
         for r in _of_class(class_r, rs):
             for s in _of_class(class_s, kept):
                 for ts, stack_t in t_blocks(r, s):
-                    _, bad = _shift_stack(r.members, s.members, stack_t)
+                    _, bad = _shift_stack(r.members, s.members[None], stack_t)
                     if bad is not None:
-                        i, quadruple = bad
+                        _, i, quadruple = bad
                         return SLResult("violated", quadruple=quadruple, triple=(r, s, ts[i]))
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
@@ -481,46 +500,66 @@ def permutability(r: Relation, s: Relation) -> dict:
     return {"level": level, "RS": rs, "SR": sr, "RSR": rsr, "SRS": srs}
 
 
+def _first_failing(
+    a: Algebra,
+    b: Algebra | None,
+    cls: RelationClass,
+    budget: int | None,
+    holds: Callable[[np.ndarray], np.ndarray],
+) -> Relation | None:
+    """The first compatible relation A -> B (B = A when None) of ``cls``,
+    in class order, whose matrix fails the stacked predicate ``holds``
+    (see ``relations._equivalence_stack``), or None.  A complete list is
+    decided a block of _STACK_CELLS cells at a time; a list the budget
+    refuses is searched as a stream instead, fed one relation at a time,
+    which keeps nothing and may raise BudgetError."""
+    target = a if b is None else b
+    try:
+        if cls is RelationClass.ARBITRARY:
+            rels = enumerate_compatible_relations(a, b, budget)
+        else:
+            rels = enumerate_class_relations(a, cls, budget)
+        blocks = _blocks(rels, a.size * target.size)
+    except BudgetError:
+        blocks = ([d] for d in _of_class(cls, _Search(a, target, budget).stream(cls)))
+    for block in blocks:
+        ok = holds(np.array([d.members for d in block]))
+        if not ok.all():
+            return block[int(ok.argmin())]
+    return None
+
+
 def _every_compatible(
     a: Algebra,
     b: Algebra | None,
     budget: int | None,
-    holds: Callable[[Relation], bool],
+    holds: Callable[[np.ndarray], np.ndarray],
     reason: str,
 ) -> SLResult:
-    """Whether ``holds(D)`` for every compatible D: A -> B; the first D that
-    fails is reported as the triple (D, D, D) with ``reason``.  A list the
-    budget refuses is searched as a stream instead, which keeps nothing."""
+    """Whether the stacked predicate ``holds`` is true of every compatible
+    D: A -> B; the first D that fails is reported as the triple (D, D, D)
+    with ``reason``."""
     try:
-        rels = enumerate_compatible_relations(a, b, budget)
-    except BudgetError:
-        rels = _Search(a, a if b is None else b, budget).stream(RelationClass.ARBITRARY)
-    try:
-        for d in rels:
-            if not holds(d):
-                return SLResult("violated", triple=(d, d, d), reason=reason)
+        d = _first_failing(a, b, RelationClass.ARBITRARY, budget, holds)
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
-    return SLResult("holds")
-
-
-def _goursat_identity(d: Relation) -> bool:
-    dd = compose(d, opposite(d))
-    return compose(dd, dd) == dd
+    if d is None:
+        return SLResult("holds")
+    return SLResult("violated", triple=(d, d, d), reason=reason)
 
 
 def difunctional_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible relation D: A -> B satisfies D D-op D = D."""
-    return _every_compatible(a, b, budget, is_difunctional, "not difunctional")
+    return _every_compatible(a, b, budget, _difunctional_stack, "not difunctional")
 
 
 def goursat_identity_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible D: A -> B satisfies (D D-op)(D D-op) = D D-op."""
-    return _every_compatible(a, b, budget, _goursat_identity, "identity fails")
+    return _every_compatible(a, b, budget, _goursat_stack, "identity fails")
 
 
 def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:
@@ -529,11 +568,7 @@ def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) ->
     refuses exhausts that budget in closures."""
     cls = RelationClass.REFLEXIVE_POSITIVE
     try:
-        pos = enumerate_class_relations(a, cls, budget)
-    except BudgetError:
-        pos = _of_class(cls, _Search(a, a, budget).stream(cls))
-    try:
-        return all(is_equivalence(p) for p in pos)
+        return _first_failing(a, None, cls, budget, _equivalence_stack) is None
     except BudgetError as err:
         return f"inconclusive: {err}"
 

@@ -14,7 +14,8 @@ Each algebra's record runs inside one ``checks._shared_classes`` scope:
 its checks still make their public calls, but each relation class (the
 reflexive and arbitrary enumerations and the congruences) is built once
 per record and shared by all of them, then dropped when the record
-returns.
+returns.  The box/W replay of a 3-permutable record decides every (R, T)
+pair of congruences at once, one ``_box_join`` call per reflexive S.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ import itertools
 from importlib import resources
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from . import __version__
 from .algebras import (
     Algebra,
     AlgebraParseError,
     PairedObject,
+    _blocks,
     _is_modular,
     algebra_from_json,
     as_paired_object,
@@ -46,15 +50,8 @@ from .checks import (
     shifting_lemma,
     shifting_lemma_forall,
 )
-from .constructions import (
-    NoWitnessError,
-    build_box,
-    build_W,
-    goursat_sl_witness,
-    kernel_pair,
-    maltsev_sl_witness,
-)
-from .relations import Relation, compose, is_symmetric, meet
+from .constructions import NoWitnessError, goursat_sl_witness, maltsev_sl_witness
+from .relations import Relation, is_equivalence, is_symmetric
 from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
@@ -116,18 +113,32 @@ def bundled_corpus() -> dict[str, Algebra]:
 def box_join_replay(a: Algebra, s: Relation, r: Relation, t: Relation) -> bool:
     """Replay of the box/W supremum identity used in the Goursat argument:
     with B = (R box S) ^ Eq(s2) and W built from T and R on the S-pairs,
-    checks B W B = W B W.  Meaningful on 3-permutable algebras only."""
-    return _box_join(as_paired_object(a, s), r, t)
+    checks B W B = W B W.  Meaningful on 3-permutable algebras only; R and
+    T must be equivalences.  ``_box_join`` on stacks of one R and one T."""
+    p = as_paired_object(a, s)
+    for name, rel in (("R", r), ("T", t)):
+        if not is_equivalence(rel):
+            raise ValueError(f"{name} must be an equivalence relation")
+    return bool(_box_join(p, r.members[None], t.members[None])[0, 0])
 
 
-def _box_join(p: PairedObject, r: Relation, t: Relation) -> bool:
-    """``box_join_replay`` on the pair object ``p`` of S."""
-    box = build_box(r, p)
-    w = build_W(t, r, p)
-    b = meet(box, kernel_pair(p, 2))
-    bwb = compose(b, compose(w, b))
-    wbw = compose(w, compose(b, w))
-    return bwb == wbw
+def _box_join(p: PairedObject, rs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``box_join_replay`` on the pair object ``p`` of S for every R of the
+    stack ``rs`` and every T of the stack ``ts`` of equivalences, as the
+    (T, R) mask of B W B = W B W.  B[r] = (R box R) ^ Eq(s2) and W[t, r],
+    T on the left leg and R on the right, are the relations of
+    ``constructions.build_box``, ``build_W`` and ``kernel_pair``; the
+    products are taken in float32, for a block of _STACK_CELLS cells of
+    (T, R) matrices at a time."""
+    first, second = p.first, p.second
+    right = rs[:, second[:, None], second[None, :]]
+    box = rs[:, first[:, None], first[None, :]] & right & (second[:, None] == second[None, :])
+    b = box.astype(np.float32)
+    out = []
+    for block in _blocks(ts, right.size):
+        w = (block[:, None, first[:, None], first[None, :]] & right).astype(np.float32)
+        out.append(((b @ w @ b > 0) == (w @ b @ w > 0)).all((2, 3)))
+    return np.concatenate(out)
 
 
 def _witness_record(a: Algebra, kind: str, e: Relation) -> dict:
@@ -218,15 +229,13 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     if gap is not None:
         rec["witnesses"]["goursat"] = _witness_record(a, "goursat", gap)
 
-    # box/W supremum replay, meaningful only where the 3-perm terms exist
+    # box/W supremum replay, meaningful only where the 3-perm terms exist:
+    # every (R, T) pair of congruences at once, for each reflexive S
     if threeperm.found and refl:
-        replay_ok = all(
-            _box_join(p, r, t)
-            for p in (as_paired_object(a, s) for s in refl)
-            for r in cons
-            for t in cons
+        stack = np.array([c.members for c in cons])
+        rec["box_join_replay"] = all(
+            _box_join(as_paired_object(a, s), stack, stack).all() for s in refl
         )
-        rec["box_join_replay"] = replay_ok
 
     _check_consistency(a.name, rec)
     return rec

@@ -220,12 +220,46 @@ def is_transitive(r: Relation) -> bool:
 
 
 def is_equivalence(r: Relation) -> bool:
-    return is_reflexive(r) and is_symmetric(r) and is_transitive(r)
+    """Reflexive, symmetric and transitive: ``_equivalence_stack`` on a
+    stack of one."""
+    r._require_endo()
+    return bool(_equivalence_stack(r.members[None])[0])
 
 
 def is_difunctional(d: Relation) -> bool:
-    """True iff the composite identity D D-op D = D holds."""
-    return compose(d, compose(opposite(d), d)) == d
+    """True iff the composite identity D D-op D = D holds:
+    ``_difunctional_stack`` on a stack of one."""
+    return bool(_difunctional_stack(d.members[None])[0])
+
+
+# The stacked predicates below decide every matrix of a boolean stack
+# (K, n, m) at once, one bool per matrix.  Their products are taken in
+# float32 (see _transitive_stack): nonzero exactly where a path exists.
+
+
+def _equivalence_stack(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack (K, n, n) is an equivalence."""
+    f = m.astype(np.float32)
+    return (
+        m.diagonal(0, 1, 2).all(1)
+        & (m == m.swapaxes(1, 2)).all((1, 2))
+        & ((f @ f > 0) <= m).all((1, 2))
+    )
+
+
+def _difunctional_stack(d: np.ndarray) -> np.ndarray:
+    """Whether D D-op D = D for each matrix D of the stack (K, n, m)."""
+    f = d.astype(np.float32)
+    return ((f @ f.swapaxes(1, 2) @ f > 0) == d).all((1, 2))
+
+
+def _goursat_stack(d: np.ndarray) -> np.ndarray:
+    """Whether (D D-op)(D D-op) = D D-op, the Goursat identity, for each
+    matrix D of the stack (K, n, m)."""
+    f = d.astype(np.float32)
+    g = f.swapaxes(1, 2) @ f > 0
+    gf = g.astype(np.float32)
+    return ((gf @ gf > 0) == g).all((1, 2))
 
 
 def is_positive(p: Relation) -> bool:

@@ -245,7 +245,9 @@ class TestEnumeration:
 
     def test_incompatible_result_raises(self, monkeypatch):
         # the final check of every kept relation is not an assert
-        monkeypatch.setattr(checks, "_is_compatible_between", lambda a, b, r: False)
+        monkeypatch.setattr(
+            checks, "_is_compatible_between", lambda a, b, stack: np.zeros(len(stack), dtype=bool)
+        )
         with pytest.raises(RuntimeError, match="incompatible relation"):
             enumerate_compatible_relations(cyclic_group(2))
 
@@ -521,7 +523,9 @@ class TestSearch:
         assert reflexive_positive_all_equivalence(a) is True
 
     def test_searched_relations_are_checked_once_more(self, monkeypatch):
-        monkeypatch.setattr(algebras, "_is_compatible_between", lambda a, b, r: False)
+        monkeypatch.setattr(
+            algebras, "_is_compatible_between", lambda a, b, stack: np.zeros(len(stack), dtype=bool)
+        )
         with pytest.raises(RuntimeError, match="incompatible relation"):
             difunctional_all(cyclic_group(3), budget=16)
 

@@ -222,6 +222,36 @@ class TestSuite:
         # reflexive (diagonal base) enumeration; the other is the arbitrary one
         assert [b.sum() for b in bases] == [3, 0] and bases[0].diagonal().all()
 
+    def test_one_compatibility_recheck_per_list_and_one_box_join_per_s(self, monkeypatch):
+        # the kept relations of each enumeration are re-checked in one
+        # stacked call, and the box/W replay of a 3-permutable record runs
+        # its kernel once per reflexive S, on every pair of congruences
+        compat, boxes = [], []
+        real_compat, real_box = checks._is_compatible_between, harness._box_join
+
+        def counted_compat(a, b, stack):
+            compat.append(len(stack))
+            return real_compat(a, b, stack)
+
+        def counted_box(p, rs, ts):
+            boxes.append((len(rs), len(ts)))
+            return real_box(p, rs, ts)
+
+        monkeypatch.setattr(checks, "_is_compatible_between", counted_compat)
+        monkeypatch.setattr(harness, "_box_join", counted_box)
+        corpus = bundled_corpus()
+        report = run_suite(corpus, seed=7)
+        assert json.loads(GOLDEN.read_text())["algebras"] == json.loads(json.dumps(report))["algebras"]
+        # the reflexive and the arbitrary list of each of the 7 algebras
+        assert len(compat) == 14
+        monkeypatch.undo()
+        want = []
+        for name, rec in report["algebras"].items():
+            if rec["terms"]["threeperm"]["status"] == "found":
+                k = len(all_congruences(corpus[name]))
+                want += [(k, k)] * len(enumerate_class_relations(corpus[name], RelationClass.REFLEXIVE))
+        assert sorted(boxes) == sorted(want) and len(want) == 9
+
     def test_record_builds_each_class_once(self, builds):
         z3 = bundled_corpus()["z3"]
         record = run_suite({"z3": z3})["algebras"]["z3"]

@@ -14,7 +14,9 @@ that formed both sides of the modular law as relations for every triple,
 the quantified Shifting Lemma that ran the single-triple check on every
 triple of relations in turn, and the Shifting Lemma kernel that built
 the (n, n, n, n) tensor of premises, and the loop that closed the
-enumeration's stacks one matrix at a time.  The single bitmask loop
+enumeration's stacks one matrix at a time, and the difunctional,
+Goursat-identity and equivalence tests and the box/W replay that took
+one relation, or one (R, T) pair, per call.  The single bitmask loop
 that replaced the enumeration loops is kept as well, and checks the
 enumeration on the bundled 4-element carriers, where the random algebras
 do not reach; so is the closure search that closed every relation found
@@ -25,7 +27,8 @@ oracles for the shared kernel, the stacked closure, the enumeration,
 the vectorized builders, the block-wise clone, the pair-graph
 congruences, the join and meet tables of the modularity test, and the
 stacked Shifting Lemma kernel behind the quantified and the single-triple
-check in ``relshift``, checked on random algebras with 1-3 elements and
+check, the stacked compatibility test, the stacked predicates of the
+sweeps and the batched box/W replay in ``relshift``, checked on random algebras with 1-3 elements and
 operations of arity 0-3, on random unary algebras with 4-6 elements
 (every congruence lattice on at most 3 elements is modular), on pinned
 bundled, cyclic and seeded algebras up to the 16 elements of the
@@ -69,29 +72,43 @@ from relshift.checks import (
     _search_forall,
     _shift_stack,
     _subalgebras,
+    difunctional_all,
     enumerate_class_relations,
     enumerate_compatible_relations,
+    goursat_identity_all,
+    reflexive_positive_all_equivalence,
     resolve_budget,
     shifting_lemma,
     shifting_lemma_forall,
 )
 from relshift.constructions import (
     NoWitnessError,
+    build_box,
     build_R,
     build_T,
+    build_W,
     goursat_sl_witness,
+    kernel_pair,
     maltsev_sl_witness,
 )
-from relshift.harness import SUITE_CLASS_COMBOS, bundled_corpus
+from relshift.harness import SUITE_CLASS_COMBOS, _box_join, box_join_replay, bundled_corpus
 from relshift.relations import (
     Carrier,
     Relation,
+    _difunctional_stack,
+    _equivalence_stack,
+    _goursat_stack,
+    compose,
     diagonal,
+    is_difunctional,
+    is_equivalence,
     is_positive,
     is_reflexive,
     is_symmetric,
+    is_transitive,
     leq,
     meet,
+    opposite,
     transitive_closure,
     union,
 )
@@ -200,7 +217,7 @@ def ref_brute_force(a: Algebra, b: Algebra, base: np.ndarray, budget: int | None
         m = base.copy()
         m[rows, cols] = (bits >> shifts) & 1
         rel = Relation(a.carrier, b.carrier, m)
-        if _is_compatible_between(a, b, rel):
+        if ref_is_compatible_between(a, b, rel):
             out.append(rel)
     return sorted(out, key=lambda r: r.pairs())
 
@@ -520,11 +537,24 @@ def relations(draw, a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(algebra_pairs(), st.data())
-def test_compatibility_matches_reference(ab, data):
+@given(algebra_pairs(), st.integers(1, 5), st.data(), st.sampled_from([None, 1, 7]))
+def test_compatibility_matches_reference(ab, k, data, stack_cells):
+    # a stack of random relations, mostly incompatible, and the closures of
+    # some of them, which are compatible: one bool per matrix; a stack of
+    # one is its own union; a small _STACK_CELLS tests the stack in blocks
+    # of one matrix or of a few
     a, b = ab
-    r = relations(data.draw, a, b)
-    assert _is_compatible_between(a, b, r) == ref_is_compatible_between(a, b, r)
+    drawn = [relations(data.draw, a, b) for _ in range(k)]
+    picks = data.draw(st.lists(st.integers(0, k - 1), max_size=3))
+    closed = [Relation(a.carrier, b.carrier, _close_between(a, b, drawn[i].members.copy())) for i in picks]
+    rels = drawn + closed
+    with pytest.MonkeyPatch.context() as mp:
+        if stack_cells:
+            mp.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+        got = _is_compatible_between(a, b, np.array([r.members for r in rels]))
+    assert got.dtype == bool and got.shape == (len(rels),)
+    assert got.tolist() == [ref_is_compatible_between(a, b, r) for r in rels]
+    assert got[k:].all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -822,10 +852,14 @@ def assert_forall_matches_reference(a, classes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(signatures().flatmap(algebras))
-def test_quantified_shifting_lemma_matches_reference(a):
-    for classes in LAYOUTS.values():
-        assert_forall_matches_reference(a, classes)
+@given(signatures().flatmap(algebras), st.sampled_from([None, 1, 64]))
+def test_quantified_shifting_lemma_matches_reference(a, stack_cells):
+    # a small _STACK_CELLS puts one S, or a few, in each block
+    with pytest.MonkeyPatch.context() as mp:
+        if stack_cells:
+            mp.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+        for classes in LAYOUTS.values():
+            assert_forall_matches_reference(a, classes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -940,24 +974,29 @@ def test_shifting_lemma_matches_tensor_kernel(n, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.data())
-def test_shift_stack_matches_tensor_kernel_t_by_t(n, k, data):
-    # some T are widened so that R ^ S <= T, the others mostly are not
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 6), st.data())
+def test_shift_stack_matches_tensor_kernel_t_by_t(n, j, k, data):
+    # a stack of j S and one of k T; some T are widened so that R ^ S <= T
+    # for one of the S, the others mostly are not; the first violation is
+    # the first (S, T) in row-major order
     a = Algebra("set", Carrier(n), Signature(()), {})
-    r, s = relations(data.draw, a, a), relations(data.draw, a, a)
+    r = relations(data.draw, a, a)
+    ss = [relations(data.draw, a, a) for _ in range(j)]
     ts = [relations(data.draw, a, a) for _ in range(k)]
-    ts = [union(t, meet(r, s)) if data.draw(st.booleans()) else t for t in ts]
-    meets, bad = _shift_stack(r.members, s.members, np.array([t.members for t in ts]))
+    ts = [union(t, meet(r, data.draw(st.sampled_from(ss)))) if data.draw(st.booleans()) else t
+          for t in ts]
+    meets, bad = _shift_stack(r.members, np.array([s.members for s in ss]), np.array([t.members for t in ts]))
+    assert meets.shape == (j, k)
     first = None
-    for i, t in enumerate(ts):
+    for (js, s), (i, t) in itertools.product(enumerate(ss), enumerate(ts)):
         try:
             want = ref_shifting_lemma(r, s, t)
         except PreconditionError:
-            assert not meets[i]
+            assert not meets[js, i]
             continue
-        assert meets[i]
+        assert meets[js, i]
         if first is None and not want.holds:
-            first = (i, want.quadruple)
+            first = (js, i, want.quadruple)
     assert bad == first
 
 
@@ -984,3 +1023,159 @@ def test_shifting_lemma_matches_tensor_kernel_on_witnesses():
             assert got.verdict == "violated"
             replayed += 1
     assert replayed >= len(non_symmetric)
+
+
+# The per-relation predicates and the box/W replay that the stacked
+# kernels replaced: one relation, or one (R, T) pair, per call.
+
+
+def ref_is_equivalence(r: Relation) -> bool:
+    return is_reflexive(r) and is_symmetric(r) and is_transitive(r)
+
+
+def ref_is_difunctional(d: Relation) -> bool:
+    return compose(d, compose(opposite(d), d)) == d
+
+
+def ref_goursat_identity(d: Relation) -> bool:
+    dd = compose(d, opposite(d))
+    return compose(dd, dd) == dd
+
+
+def ref_box_join(p, r: Relation, t: Relation) -> bool:
+    box = build_box(r, p)
+    w = build_W(t, r, p)
+    b = meet(box, kernel_pair(p, 2))
+    bwb = compose(b, compose(w, b))
+    wbw = compose(w, compose(b, w))
+    return bwb == wbw
+
+
+def stack_of(rels):
+    return np.array([r.members for r in rels])
+
+
+@pytest.mark.parametrize("name", ["n5_unary", "semilattice2", "z4"])
+@pytest.mark.parametrize("stack_cells", [1, 64])
+def test_quantified_shifting_lemma_in_blocks_of_s_matches_reference_on_bundled(
+    corpus, name, stack_cells, monkeypatch
+):
+    # every block of S holds one row, or a few
+    monkeypatch.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+    for classes in LAYOUTS.values():
+        assert_forall_matches_reference(corpus[name], classes)
+
+
+@st.composite
+def predicate_stacks(draw):
+    """A stack of random relations A -> B, sizes 1-3 drawn apart, with
+    difunctional ones (unions of disjoint rectangles) among them, and a
+    stack of random relations on A with equivalences among them."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, b = (Algebra("set", Carrier(k), Signature(()), {}) for k in (n, m))
+    k = draw(st.integers(1, 5))
+    rels = [relations(draw, a, b) for _ in range(k)]
+    rows, cols = (draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)) for size in (n, m))
+    rels.append(Relation(a.carrier, b.carrier, np.equal.outer(rows, cols)))
+    square = [relations(draw, a, a) for _ in range(k)]
+    square += [transitive_closure(Relation(a.carrier, a.carrier, r.members | r.members.T | np.eye(n, dtype=bool)))
+               for r in square]
+    return rels, square
+
+
+@settings(max_examples=200, deadline=None)
+@given(predicate_stacks())
+def test_stacked_predicates_match_reference(stacks):
+    rels, square = stacks
+    for stacked, single, ref in (
+        (_difunctional_stack, is_difunctional, ref_is_difunctional),
+        (_goursat_stack, None, ref_goursat_identity),
+    ):
+        want = [ref(d) for d in rels]
+        assert stacked(stack_of(rels)).tolist() == want
+        if single:
+            assert [single(d) for d in rels] == want
+    want = [ref_is_equivalence(r) for r in square]
+    assert _equivalence_stack(stack_of(square)).tolist() == want
+    assert [is_equivalence(r) for r in square] == want
+    assert all(want[len(want) // 2:])
+
+
+def ref_first_failing(rels, holds):
+    return next((d for d in rels if not holds(d)), None)
+
+
+def assert_sweeps_match_reference(a, b):
+    rels = enumerate_compatible_relations(a, b)
+    for sweep, holds, reason in (
+        (difunctional_all, ref_is_difunctional, "not difunctional"),
+        (goursat_identity_all, ref_goursat_identity, "identity fails"),
+    ):
+        d = ref_first_failing(rels, holds)
+        want = SLResult("holds") if d is None else SLResult("violated", triple=(d, d, d), reason=reason)
+        got = sweep(a, b)
+        assert (got, got.triple) == (want, want.triple)
+    pos = enumerate_class_relations(a, RelationClass.REFLEXIVE_POSITIVE)
+    assert reflexive_positive_all_equivalence(a) is (ref_first_failing(pos, ref_is_equivalence) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_pairs(), st.sampled_from([None, 1, 20]))
+def test_sweeps_in_blocks_match_reference(ab, stack_cells):
+    a, b = ab
+    with pytest.MonkeyPatch.context() as mp:
+        if stack_cells:
+            mp.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+        assert_sweeps_match_reference(a, b)
+
+
+@pytest.mark.parametrize("names", [("n5_unary", None), ("semilattice2", None), ("z2", "z4"), ("z4", "z2")])
+@pytest.mark.parametrize("stack_cells", [None, 1])
+def test_sweeps_in_blocks_match_reference_on_bundled(corpus, names, stack_cells, monkeypatch):
+    if stack_cells:
+        monkeypatch.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+    a, b = (corpus[n] if n else None for n in names)
+    assert_sweeps_match_reference(a, b)
+
+
+def assert_box_join_matches_reference(a, stack_cells=None):
+    """The box/W kernel on every reflexive compatible S of A, with every
+    (R, T) pair of congruences, against the per-pair replay; returns the
+    number of pairs that fail the identity."""
+    cons = all_congruences(a)
+    failed = 0
+    for s in enumerate_class_relations(a, RelationClass.REFLEXIVE):
+        p = as_paired_object(a, s)
+        with pytest.MonkeyPatch.context() as mp:
+            if stack_cells:
+                mp.setattr(algebras_module, "_STACK_CELLS", stack_cells)
+            got = _box_join(p, stack_of(cons), stack_of(cons))
+        want = [[ref_box_join(p, r, t) for r in cons] for t in cons]
+        assert got.tolist() == want
+        failed += int((~got).sum())
+    r, t = cons[0], cons[-1]
+    assert box_join_replay(a, s, r, t) is ref_box_join(as_paired_object(a, s), r, t)
+    return failed
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures().flatmap(algebras), st.sampled_from([None, 1]))
+def test_box_join_stack_matches_reference(a, stack_cells):
+    assert_box_join_matches_reference(a, stack_cells)
+
+
+@pytest.mark.parametrize("name, failed", [("n5_unary", 116), ("semilattice2", 0), ("z4", 0)])
+@pytest.mark.parametrize("stack_cells", [None, 1])
+def test_box_join_stack_matches_reference_on_bundled(corpus, name, failed, stack_cells):
+    # on n5_unary, which is not 3-permutable, the identity fails for some
+    # (S, R, T); the suite records it only where 3-permutability terms exist
+    assert assert_box_join_matches_reference(corpus[name], stack_cells) == failed
+
+
+def test_box_join_replay_keeps_its_preconditions(corpus):
+    a = corpus["semilattice2"]
+    le = Relation.from_pairs(a.carrier, a.carrier, [(0, 0), (0, 1), (1, 1)])
+    eq = diagonal(a.carrier)
+    for r, t, message in ((le, eq, "R must be"), (eq, le, "T must be")):
+        with pytest.raises(ValueError, match=message):
+            box_join_replay(a, eq, r, t)
