@@ -12,12 +12,14 @@ the generated functions:
 
 A generated clone is one read-only (members, n**3) matrix of flat tables in
 the smallest unsigned dtype for n.  Each round evaluates an operation by
-flat ``take`` calls over chunks of argument tuples and keeps the new rows
-of each chunk in one membership pass.  Generation stores each member's
-derivation only as the operation and the argument member indices of its
-chunk, in ``CloneResult.steps``; the derivation
+flat ``take`` calls over chunks of argument tuples, keeps the new rows of
+each chunk in one membership pass and, when it looks for a Mal'tsev
+member, tests the whole chunk for one at once.  Generation records a kept
+chunk only as its operation, the callable that gives the arguments of its
+rows and the indices of the rows kept; ``CloneResult.steps`` builds the
+argument member indices from them on first read, and the derivation
 trees, which let a reported term be checked by hand against the
-signature, are replayed from them on the first read of
+signature, are replayed from the steps on the first read of
 ``CloneResult.terms``.  The searches read t(x,y,y) and t(x,x,y) of all
 members at once.  Both searches generate the clone only up to its first
 Mal'tsev member p: member 0 is the projection x, which satisfies
@@ -29,7 +31,8 @@ or the budget-cut one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -91,15 +94,24 @@ class CloneResult:
     one step per kept chunk: (None, [js]) keeps the projections "xyz"[j],
     and (op, args) applies ``op`` to the members whose indices ``args``
     lists per argument position, one new member per index, or once for a
-    nullary ``op``; no step derives a member past the budget.  ``terms``
-    and ``functions`` are built from them on first access.
+    nullary ``op``; no step derives a member past the budget.  Generation
+    tests each chunk once for a Mal'tsev member and records a kept chunk
+    only as ``chunks``: its operation, the callable that gives the
+    arguments of its rows, and the indices of the rows kept.  ``steps``
+    is built from them on first access, and ``terms`` and ``functions``
+    from ``steps``.
     """
 
     size: int
     tables: np.ndarray
-    steps: tuple[tuple[str | None, list[list[int]]], ...]
+    chunks: tuple[tuple[str | None, Callable, list[int]], ...] = field(repr=False)
     complete: bool
     budget: int
+
+    @cached_property
+    def steps(self) -> tuple[tuple[str | None, list[list[int]]], ...]:
+        """The members' derivations, one step per kept chunk."""
+        return tuple((op, args_of(np.array(js))) for op, args_of, js in self.chunks)
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -117,6 +129,8 @@ class CloneResult:
 
     def function(self, i: int) -> TermFunction:
         """Member ``i`` as a TermFunction."""
+        if not (_is_int(i) and 0 <= i < len(self.tables)):
+            raise ValueError(f"member {i!r} is not an integer in 0..{len(self.tables) - 1}")
         return TermFunction(self.size, tuple(self.tables[i].tolist()), self.terms[i])
 
     @cached_property
@@ -241,9 +255,12 @@ def generate_ternary_clone(
                 members[row] = None
                 new.append(j)
         if until_maltsev and new:
-            hits = np.flatnonzero((block.take(new, 0).take(columns, 1) == values).all(1))
-            if len(hits):
-                p = int(hits[0])
+            # one test of the whole chunk; its first Mal'tsev row was kept
+            # unless it lies past the cut: a row or member equal to it and
+            # met earlier would have been a Mal'tsev member before it
+            hits = np.flatnonzero((block[:, columns] == values).all(1))
+            if len(hits) and hits[0] <= new[-1]:
+                p = new.index(hits[0])
                 for _ in new[p + 1 :]:  # the members kept after p
                     members.popitem()
                 del new[p + 1 :]
@@ -252,10 +269,10 @@ def generate_ternary_clone(
 
     def result(complete: bool) -> CloneResult:
         tables = np.frombuffer(b"".join(members), dtype).reshape(-1, m)
-        return CloneResult(n, tables, tuple(steps), complete, budget)
+        return CloneResult(n, tables, tuple(chunks), complete, budget)
 
     new, stop = keep(np.indices((n, n, n), dtype).reshape(3, m))
-    steps = [(None, [new])]
+    chunks = [(None, lambda js: [js.tolist()], new)]
     start = 0
     while not stop and start < len(members):
         end = len(members)
@@ -265,7 +282,7 @@ def generate_ternary_clone(
             for block, args_of in _blocks(f, arity, tables, start):
                 new, stop = keep(block)
                 if new:
-                    steps.append((op, args_of(np.array(new))))
+                    chunks.append((op, args_of, new))
                 if stop:
                     return result(False)
         start = end
@@ -278,8 +295,8 @@ def _identities(clone: CloneResult) -> tuple[np.ndarray, ...]:
     columns, identity = _identity_columns(clone.size)
     values = clone.tables[:, columns]
     ok = values == identity
-    (xyy, xxy), (left_ok, right_ok) = np.hsplit(values, 2), np.hsplit(ok, 2)
-    return xyy, xxy, left_ok.all(axis=1), right_ok.all(axis=1)
+    k = clone.size**2  # the pairs (x, y): t(x,y,y) is values[:, :k]
+    return values[:, :k], values[:, k:], ok[:, :k].all(axis=1), ok[:, k:].all(axis=1)
 
 
 def find_maltsev_term(a: Algebra, budget: int | None = None) -> TermSearchResult:

@@ -45,6 +45,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relshift import algebras as algebras_module
+from relshift import terms as terms_module
 from relshift.algebras import (
     MAX_ARITY,
     Algebra,
@@ -930,6 +931,71 @@ def test_clone_and_term_searches_match_reference(case):
     assert RefClone(got.functions, got.complete, got.budget) == want
     assert find_maltsev_term(a, budget) == want_p
     assert find_3perm_terms(a, budget) == want_rs
+
+
+def is_ref_maltsev(fn: TermFunction) -> bool:
+    t = _array(fn)
+    col_x, row_y = np.indices((fn.size, fn.size))
+    return np.array_equal(_idem_left(t), col_x) and np.array_equal(_idem_right(t), row_y)
+
+
+def ref_until_maltsev(a: Algebra, budget: int) -> RefClone:
+    """The reference clone cut right after its first Mal'tsev member, or
+    the whole or budget-cut reference clone when it has none."""
+    want = ref_generate_ternary_clone(a, budget)
+    if len(want.functions) > budget:
+        # the reference skipped the budget test after a constant
+        want = RefClone(want.functions[:budget], complete=False, budget=budget)
+    for i, fn in enumerate(want.functions):
+        if is_ref_maltsev(fn):
+            return RefClone(want.functions[: i + 1], complete=False, budget=budget)
+    return want
+
+
+def replay_steps(clone) -> list[Term]:
+    """The derivation trees that ``clone.steps`` spells out, step by step."""
+    terms: list[Term] = []
+    for op, args in clone.steps:
+        if op is None:
+            terms += ["xyz"[j] for j in args[0]]
+        elif not args:
+            terms.append((op,))
+        else:
+            terms += [(op, *(terms[col[k]] for col in args)) for k in range(len(args[0]))]
+    return terms
+
+
+def assert_until_maltsev_matches_reference(a: Algebra, budget: int, chunk_cells=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_cells is not None:
+            mp.setattr(terms_module, "CHUNK_CELLS", chunk_cells)
+        got = generate_ternary_clone(a, budget, until_maltsev=True)
+    want = ref_until_maltsev(a, budget)
+    assert RefClone(got.functions, got.complete, got.budget) == want
+    assert replay_steps(got) == [fn.term for fn in want.functions]
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(clone_cases(), st.sampled_from([None, "one", "cube"]))
+def test_clone_until_maltsev_matches_reference(case, cells):
+    # one Mal'tsev test per chunk, with chunks of one cell (one row of
+    # argument tuples each), of n**3 cells, or of the default size: the
+    # clone ends right after the first Mal'tsev member that was kept
+    a, budget = case
+    assert_until_maltsev_matches_reference(a, budget, {"one": 1, "cube": a.size**3}.get(cells))
+
+
+@pytest.mark.parametrize("budget", [17, 18, 19, 20])
+def test_budget_cut_before_the_maltsev_row_of_its_chunk(budget):
+    # one chunk of Z3's second round gives members 17..20, the last of
+    # which is its first Mal'tsev member; with these budgets the cut falls
+    # in that chunk before the Mal'tsev row, so no Mal'tsev member is kept
+    a = bundled_corpus()["z3"]
+    got = assert_until_maltsev_matches_reference(a, budget)
+    assert not got.complete and len(got.tables) == budget
+    assert not any(map(is_ref_maltsev, got.functions))
+    assert is_ref_maltsev(generate_ternary_clone(a, 21, until_maltsev=True).function(20))
 
 
 # the 3-element groupoids (one binary operation "m") of the clone benchmark

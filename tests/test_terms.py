@@ -19,6 +19,7 @@ from relshift.terms import (
 )
 
 from test_algebras import cyclic_group, semilattice2
+from test_reference import BUDGET_CUT_GROUPOIDS
 
 
 def implication2():
@@ -103,6 +104,15 @@ class TestCloneGeneration:
         assert not clone.complete
         assert derived == len(clone.tables) == len(clone.terms) == budget
 
+    @pytest.mark.parametrize("table", BUDGET_CUT_GROUPOIDS)
+    def test_steps_and_terms_are_built_on_first_read(self, table):
+        a = Algebra("groupoid", Carrier(3), Signature((("m", 2),)), {"m": table})
+        clone = generate_ternary_clone(a)
+        assert "steps" not in vars(clone) and "terms" not in vars(clone)
+        derived = sum(len(args[0]) if args else 1 for _, args in clone.steps)
+        assert "steps" in vars(clone) and "terms" not in vars(clone)
+        assert derived == len(clone.tables)
+
     def test_nullary_term_prints_as_a_call(self):
         a = Algebra("const2", Carrier(2), Signature((("c", 0),)), {"c": (1,)})
         c = generate_ternary_clone(a).function(3)
@@ -111,6 +121,16 @@ class TestCloneGeneration:
     def test_budget_must_cover_projections(self):
         with pytest.raises(ValueError):
             generate_ternary_clone(cyclic_group(2), budget=2)
+
+    @pytest.mark.parametrize("i", [True, -1, 3, 1.5, "0"])
+    def test_function_refuses_indices_out_of_range(self, i):
+        clone = generate_ternary_clone(Algebra("set2", Carrier(2), Signature(()), {}))
+        with pytest.raises(ValueError, match="not an integer in 0..2"):
+            clone.function(i)
+
+    def test_function_takes_numpy_integers(self):
+        clone = generate_ternary_clone(cyclic_group(2))
+        assert clone.function(np.int64(1)) == clone.function(1) == clone.functions[1]
 
 
 class TestTermFunction:
