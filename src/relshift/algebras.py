@@ -35,7 +35,6 @@ __all__ = [
     "evaluate",
     "is_compatible",
     "compatible_close",
-    "principal_congruence",
     "all_congruences",
     "congruence_join",
     "congruence_lattice_is_modular",
@@ -349,19 +348,6 @@ def _squared(stack: np.ndarray) -> np.ndarray:
     for block in _blocks(stack, stack.shape[-1] ** 2):
         block[...] = _transitive_stack(block)
     return stack
-
-
-def principal_congruence(a: Algebra, x: int, y: int) -> Relation:
-    """Least congruence identifying x and y: its row of the stack of all
-    principal congruences, which the pair graph of A gives at once."""
-    n = a.size
-    if not (_is_int(x) and _is_int(y) and 0 <= x < n and 0 <= y < n):
-        raise ValueError(f"elements ({x!r}, {y!r}) are not integers in range for size {n}")
-    if x == y:
-        return Relation(a.carrier, a.carrier, np.eye(n, dtype=bool))
-    u, v = min(x, y), max(x, y)
-    # the pairs of rows 0..u-1 come first: n-1 + n-2 + ... + n-u of them
-    return Relation(a.carrier, a.carrier, _principal_stack(a)[u * n - u * (u + 1) // 2 + v - u - 1])
 
 
 def congruence_join(r: Relation, s: Relation) -> Relation:

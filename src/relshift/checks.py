@@ -319,19 +319,21 @@ def enumerate_class_relations(
 
 
 class _Search:
-    """The search of one check over classes the 2^k gate refuses: streams
-    of the compatible relations A -> B of a class containing a base, in
-    class order, by ``algebras._closed_above``.  The streams share one
-    budget of closures, the resolved enumeration budget, and compute the
-    principal closures of each class base once; a stream that would run
-    one closure more raises BudgetError, naming the budget and the
-    relations produced."""
+    """The relations of one check, class by class (see ``members``): a
+    complete list, or a search stream of the compatible relations A -> B
+    (B = A when None) of the class containing a base, in class order, by
+    ``algebras._closed_above``.  The streams share one budget of
+    closures, the resolved enumeration budget, and compute the principal
+    closures of each class base once; a stream that would run one closure
+    more raises BudgetError, naming the budget and the relations
+    produced."""
 
-    def __init__(self, a: Algebra, b: Algebra, budget: int | None):
-        self.a, self.b = a, b
+    def __init__(self, a: Algebra, b: Algebra | None, budget: int | None):
+        self.a, self.b, self.given = a, a if b is None else b, budget
         self.budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
         self.closures = self.produced = 0
         self.principals: dict[bool, dict] = {}
+        self.kept: dict[bool, _Kept] = {}
 
     def spend(self) -> None:
         if self.closures == self.budget:
@@ -339,6 +341,28 @@ class _Search:
                 f"search exhausted budget {self.budget} closures after {self.produced} relations"
             )
         self.closures += 1
+
+    def members(self, cls: RelationClass, keep: bool = False) -> Iterable[Relation]:
+        """The relations of ``cls`` in class order: their list, through the
+        public ``enumerate_*``, when the 2^k gate admits it; else the
+        stream of the class they are drawn from, ARBITRARY or else
+        REFLEXIVE, only its positive members for REFLEXIVE_POSITIVE.  A
+        stream asked for with ``keep`` is kept (see _Kept), and every later
+        request drawn from the same class reads it, so that its closures
+        run once."""
+        try:
+            if cls is RelationClass.ARBITRARY:
+                return enumerate_compatible_relations(self.a, self.b, self.given)
+            return enumerate_class_relations(self.a, cls, self.given)
+        except BudgetError:
+            reflexive = cls is not RelationClass.ARBITRARY
+            drawn = self.kept.get(reflexive)
+            if drawn is None:
+                drawn = self.stream(cls)
+                if keep:
+                    drawn = self.kept[reflexive] = _Kept(drawn)
+            rels = _of_class(cls, drawn)
+            return _Kept(rels) if keep and cls is RelationClass.REFLEXIVE_POSITIVE else rels
 
     def stream(self, cls: RelationClass, above: np.ndarray | None = None) -> Iterator[Relation]:
         """The relations of class ARBITRARY, or else REFLEXIVE, containing
@@ -386,6 +410,11 @@ def _doubling_blocks(items: Iterator) -> Iterator[list]:
         size = min(2 * size, 256)
 
 
+def _stacked(rels: list[Relation]) -> np.ndarray:
+    """The matrices of ``rels`` as one boolean stack."""
+    return np.array([x.members for x in rels])
+
+
 def shifting_lemma_forall(
     a: Algebra,
     class_r: RelationClass,
@@ -395,88 +424,52 @@ def shifting_lemma_forall(
 ) -> SLResult:
     """Shifting Lemma quantified over all compatible relations of the given
     classes on A.  Returns the first violation in lexicographic triple
-    order.  Each distinct class is requested once, in order, within one
-    ``_shared_classes`` scope (the caller's, if one is open), so each
-    enumeration is built once: REFLEXIVE_POSITIVE and REFLEXIVE share
-    the REFLEXIVE list.
+    order.  Each distinct class is asked of ``_Search.members`` once, S's
+    first and kept, within one ``_shared_classes`` scope (the caller's, if
+    one is open), so each enumeration is built once and each stream read
+    once: REFLEXIVE_POSITIVE and REFLEXIVE share the REFLEXIVE list, or
+    S's kept stream.
 
-    The S and the T relations are stacked once each, and for each R in
-    order ``_shift_stack`` decides every (S, T) of a block of S at once,
-    the blocks cut at _STACK_CELLS cells of (S, T) matrices: it skips the
-    (S, T) that fail R ^ S <= T and gives the first violating (S, T) in
-    row-major order, with its least quadruple, so the triple is the first
-    in lexicographic order.
+    For each R in order, ``_shift_stack`` decides a stack of S against a
+    stack of T at once: it skips the (S, T) that fail R ^ S <= T and gives
+    the first violating (S, T) in row-major order, with its least
+    quadruple, so the triple is the first in lexicographic order.  When
+    the S and the T lists are both complete, S comes in blocks of
+    _STACK_CELLS cells of (S, T) matrices against one stack of every T.
+    Otherwise S comes one at a time, and the T of a class the gate refuses
+    are a fresh stream of its members containing R ^ S, in doubling
+    blocks.  Every stream is a subsequence of its class list, so the
+    first violation is the one the lists give; the check is
+    "inconclusive" only when the streams exhaust the budget, counted in
+    closures."""
+    search = _Search(a, None, budget)
+    with _shared_classes():
+        got = {
+            cls: search.members(cls, keep=cls is class_s)
+            for cls in dict.fromkeys((class_s, class_r, class_t))
+        }
+    rs, ss, ts = got[class_r], got[class_s], got[class_t]
+    every_t = s_blocks = None
+    if isinstance(ts, list):
+        stack_t = _stacked(ts)
+        every_t = [(ts, stack_t)]
+        if isinstance(ss, list):
+            s_blocks = [(block, _stacked(block)) for block in _blocks(ss, stack_t.size)]
 
-    When the budget refuses a class list, the classes are searched instead
-    (``_search_forall``), and the check is "inconclusive" only when the
-    search exhausts the same budget, counted in closures."""
-    try:
-        with _shared_classes():
-            rels = {
-                cls: enumerate_class_relations(a, cls, budget)
-                for cls in dict.fromkeys((class_r, class_s, class_t))
-            }
-    except BudgetError:
-        return _search_forall(a, class_r, class_s, class_t, budget)
-    ss, ts = rels[class_s], rels[class_t]
-    stack_s, stack_t = (np.array([x.members for x in xs]) for xs in (ss, ts))
-    for r in rels[class_r]:
-        for js in _blocks(np.arange(len(ss)), stack_t.size):
-            _, bad = _shift_stack(r.members, stack_s[js], stack_t)
-            if bad is not None:
-                j, i, quadruple = bad
-                return SLResult("violated", quadruple=quadruple, triple=(r, ss[js[j]], ts[i]))
-    return SLResult("holds")
-
-
-def _search_forall(
-    a: Algebra,
-    class_r: RelationClass,
-    class_s: RelationClass,
-    class_t: RelationClass,
-    budget: int | None,
-) -> SLResult:
-    """``shifting_lemma_forall`` over streams, stopping at the first
-    violation.  R and S are read lazily, and only the S prefix read so far
-    is kept; R reads that prefix too when both come from one stream.  For
-    each (R, S) the T are the class members containing R ^ S, a fresh
-    stream above it (congruences stay one stack, as in the complete
-    check), fed to ``_shift_stack`` in blocks, with a stack of one S.  Every stream is a
-    subsequence of its class list, so the first violation is the triple
-    and quadruple the complete lists give."""
-    search = _Search(a, a, budget)
-
-    def source(cls: RelationClass) -> Iterator[Relation]:
-        if cls is RelationClass.EQUIVALENCE:
-            return iter(_class_list(a, a, cls, budget))
-        return search.stream(cls)
-
-    def drawn(cls: RelationClass) -> RelationClass:
-        return RelationClass.REFLEXIVE if cls is RelationClass.REFLEXIVE_POSITIVE else cls
-
-    kept = _Kept(source(class_s))
-    rs = kept if drawn(class_r) is drawn(class_s) else source(class_r)
-    if class_t is RelationClass.EQUIVALENCE:
-        congruences = _class_list(a, a, class_t, budget)
-        stack = np.array([t.members for t in congruences])
-
-    def t_blocks(r: Relation, s: Relation) -> Iterator[tuple[list[Relation], np.ndarray]]:
-        """The T to test with (R, S), in order, as (relations, stack) blocks."""
-        if class_t is RelationClass.EQUIVALENCE:
-            yield congruences, stack
-            return
-        above = _of_class(class_t, search.stream(class_t, r.members & s.members))
-        for ts in _doubling_blocks(iter(above)):
-            yield ts, np.array([t.members for t in ts])
+    def t_above(r: Relation, s: Relation) -> Iterator[tuple[list[Relation], np.ndarray]]:
+        """The T containing R ^ S, in order, as (relations, stack) blocks."""
+        rels = _of_class(class_t, search.stream(class_t, r.members & s.members))
+        return ((block, _stacked(block)) for block in _doubling_blocks(rels))
 
     try:
-        for r in _of_class(class_r, rs):
-            for s in _of_class(class_s, kept):
-                for ts, stack_t in t_blocks(r, s):
-                    _, bad = _shift_stack(r.members, s.members[None], stack_t)
+        for r in rs:
+            for s_block, stack_s in s_blocks or (([s], s.members[None]) for s in ss):
+                for t_block, stack in every_t or t_above(r, s_block[0]):
+                    _, bad = _shift_stack(r.members, stack_s, stack)
                     if bad is not None:
-                        _, i, quadruple = bad
-                        return SLResult("violated", quadruple=quadruple, triple=(r, s, ts[i]))
+                        j, i, quadruple = bad
+                        triple = (r, s_block[j], t_block[i])
+                        return SLResult("violated", quadruple=quadruple, triple=triple)
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
     return SLResult("holds")
@@ -510,20 +503,16 @@ def _first_failing(
     """The first compatible relation A -> B (B = A when None) of ``cls``,
     in class order, whose matrix fails the stacked predicate ``holds``
     (see ``relations._equivalence_stack``), or None.  A complete list is
-    decided a block of _STACK_CELLS cells at a time; a list the budget
-    refuses is searched as a stream instead, fed one relation at a time,
-    which keeps nothing and may raise BudgetError."""
-    target = a if b is None else b
-    try:
-        if cls is RelationClass.ARBITRARY:
-            rels = enumerate_compatible_relations(a, b, budget)
-        else:
-            rels = enumerate_class_relations(a, cls, budget)
-        blocks = _blocks(rels, a.size * target.size)
-    except BudgetError:
-        blocks = ([d] for d in _of_class(cls, _Search(a, target, budget).stream(cls)))
+    decided a block of _STACK_CELLS cells at a time; a stream is fed one
+    relation at a time, which keeps nothing and may raise BudgetError."""
+    search = _Search(a, b, budget)
+    rels = search.members(cls)
+    if isinstance(rels, list):
+        blocks = _blocks(rels, a.size * search.b.size)
+    else:
+        blocks = ([d] for d in rels)
     for block in blocks:
-        ok = holds(np.array([d.members for d in block]))
+        ok = holds(_stacked(block))
         if not ok.all():
             return block[int(ok.argmin())]
     return None

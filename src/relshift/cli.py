@@ -239,12 +239,11 @@ def terms(kind, algebra_path, budget):
     """Search the ternary clone for the requested term condition."""
     a = _read(algebra_path, algebra_from_json)
     res = (find_maltsev_term if kind == "maltsev" else find_3perm_terms)(a, budget)
+    doc = {"identity_set": kind}
     if not res.found:  # "not_found" (clone complete) or "inconclusive" (budget)
-        return {"identity_set": kind, "status": res.status}, res.status
-    if kind == "maltsev":
-        return {"identity_set": "maltsev", "p": _term_doc(res.terms[0])}, "found"
-    r, s = res.terms
-    return {"identity_set": "3perm", "r": _term_doc(r), "s": _term_doc(s)}, "found"
+        return {**doc, "status": res.status}, res.status
+    keys = "p" if kind == "maltsev" else "rs"
+    return {**doc, **{k: _term_doc(t) for k, t in zip(keys, res.terms)}}, "found"
 
 
 def _require_writable(path: str) -> None:

@@ -51,7 +51,7 @@ from .checks import (
     shifting_lemma_forall,
 )
 from .constructions import NoWitnessError, goursat_sl_witness, maltsev_sl_witness
-from .relations import Relation, is_equivalence, is_symmetric
+from .relations import Relation, is_symmetric
 from .terms import _3perm_terms, _maltsev_term, generate_ternary_clone
 
 if TYPE_CHECKING:
@@ -63,7 +63,6 @@ __all__ = [
     "bundled_corpus",
     "load_corpus",
     "run_suite",
-    "box_join_replay",
 ]
 
 SCHEMA = "relshift-report/1"
@@ -110,26 +109,15 @@ def bundled_corpus() -> dict[str, Algebra]:
     return load_corpus(resources.files(__package__) / "corpus")
 
 
-def box_join_replay(a: Algebra, s: Relation, r: Relation, t: Relation) -> bool:
-    """Replay of the box/W supremum identity used in the Goursat argument:
-    with B = (R box S) ^ Eq(s2) and W built from T and R on the S-pairs,
-    checks B W B = W B W.  Meaningful on 3-permutable algebras only; R and
-    T must be equivalences.  ``_box_join`` on stacks of one R and one T."""
-    p = as_paired_object(a, s)
-    for name, rel in (("R", r), ("T", t)):
-        if not is_equivalence(rel):
-            raise ValueError(f"{name} must be an equivalence relation")
-    return bool(_box_join(p, r.members[None], t.members[None])[0, 0])
-
-
 def _box_join(p: PairedObject, rs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``box_join_replay`` on the pair object ``p`` of S for every R of the
-    stack ``rs`` and every T of the stack ``ts`` of equivalences, as the
-    (T, R) mask of B W B = W B W.  B[r] = (R box R) ^ Eq(s2) and W[t, r],
-    T on the left leg and R on the right, are the relations of
-    ``constructions.build_box``, ``build_W`` and ``kernel_pair``; the
-    products are taken in float32, for a block of _STACK_CELLS cells of
-    (T, R) matrices at a time."""
+    """Replay of the box/W supremum identity used in the Goursat argument,
+    meaningful on 3-permutable algebras only: on the pair object ``p`` of
+    S, for every R of the stack ``rs`` and every T of the stack ``ts`` of
+    equivalences, the (T, R) mask of B W B = W B W.  B[r] = (R box R) ^
+    Eq(s2) and W[t, r], T on the left leg and R on the right, are the
+    relations of ``constructions.build_box``, ``build_W`` and
+    ``kernel_pair``; the products are taken in float32, for a block of
+    _STACK_CELLS cells of (T, R) matrices at a time."""
     first, second = p.first, p.second
     right = rs[:, second[:, None], second[None, :]]
     box = rs[:, first[:, None], first[None, :]] & right & (second[:, None] == second[None, :])

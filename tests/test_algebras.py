@@ -21,7 +21,6 @@ from relshift.algebras import (
     congruence_lattice_is_modular,
     evaluate,
     is_compatible,
-    principal_congruence,
 )
 from relshift.relations import (
     Carrier,
@@ -194,19 +193,6 @@ class TestCompatibleClose:
 
 
 class TestCongruences:
-    def test_principal_of_equal_pair_is_diagonal(self):
-        z3 = cyclic_group(3)
-        assert principal_congruence(z3, 1, 1) == diagonal(z3.carrier)
-
-    @pytest.mark.parametrize("x, y", [(True, 0), (0, False), (1.5, 0), (0, "1"), (4, 0), (0, -1)])
-    def test_principal_rejects_non_elements(self, x, y):
-        with pytest.raises(ValueError, match="not integers in range"):
-            principal_congruence(cyclic_group(4), x, y)
-
-    def test_principal_accepts_numpy_integers(self):
-        z4 = cyclic_group(4)
-        assert principal_congruence(z4, np.int64(0), np.intp(2)) == principal_congruence(z4, 0, 2)
-
     def test_z4_has_three_congruences(self):
         z4 = cyclic_group(4)
         cons = all_congruences(z4)

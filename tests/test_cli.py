@@ -336,7 +336,7 @@ class TestTerms:
             ["terms", "threeperm", "--algebra", files["implication2"]],
         )
         assert code == 0
-        assert doc["identity_set"] == "3perm"
+        assert doc["identity_set"] == "threeperm"
         assert len(doc["r"]["table"]) == 8
         assert doc["s"]["term"].startswith("(")
 
@@ -370,6 +370,19 @@ class TestTerms:
         code, doc = run(runner, args)
         assert code == expected
         assert doc.get("status") == status
+
+    @pytest.mark.parametrize("kind, name, budget, expected, status", [
+        ("threeperm", "semilattice2", None, 1, "not_found"),
+        ("threeperm", "z3", 3, 3, "inconclusive"),
+        ("maltsev", "semilattice2", None, 1, "not_found"),
+        ("maltsev", "z3", 20, 3, "inconclusive"),
+    ])
+    def test_unfound_documents_name_the_search(self, runner, kind, name, budget, expected, status):
+        # the identity set is the search's kind, found or not
+        args = ["terms", kind, "--algebra", str(CORPUS / f"{name}.json")]
+        code, doc = run(runner, args + (["--budget", str(budget)] if budget else []))
+        assert code == expected
+        assert doc == {"identity_set": kind, "status": status}
 
     def test_tiny_budget_inconclusive(self, runner, files):
         code, doc = run(

@@ -45,6 +45,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relshift import algebras as algebras_module
+from relshift import checks as checks_module
 from relshift import terms as terms_module
 from relshift.algebras import (
     MAX_ARITY,
@@ -55,13 +56,13 @@ from relshift.algebras import (
     _is_compatible_between,
     _is_modular,
     _principal_closures,
+    _principal_stack,
     _stack_closer,
     all_congruences,
     as_paired_object,
     compatible_close,
     congruence_join,
     congruence_lattice_is_modular,
-    principal_congruence,
 )
 from relshift.checks import (
     DEFAULT_ENUM_BUDGET,
@@ -70,7 +71,6 @@ from relshift.checks import (
     RelationClass,
     SLResult,
     _common_carrier,
-    _search_forall,
     _shift_stack,
     _subalgebras,
     difunctional_all,
@@ -92,7 +92,7 @@ from relshift.constructions import (
     kernel_pair,
     maltsev_sl_witness,
 )
-from relshift.harness import SUITE_CLASS_COMBOS, _box_join, box_join_replay, bundled_corpus
+from relshift.harness import SUITE_CLASS_COMBOS, _box_join, bundled_corpus
 from relshift.relations import (
     Carrier,
     Relation,
@@ -652,9 +652,9 @@ def test_enumeration_between_sizes_matches_brute_force(corpus, names):
 
 def assert_congruences_match_reference(a):
     assert all_congruences(a) == ref_all_congruences(a)
-    for x in range(a.size):
-        for y in range(a.size):
-            assert principal_congruence(a, x, y) == ref_principal_congruence(a, x, y)
+    pairs = itertools.combinations(range(a.size), 2)
+    got = [Relation(a.carrier, a.carrier, m) for m in _principal_stack(a)]
+    assert got == [ref_principal_congruence(a, x, y) for x, y in pairs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -811,8 +811,15 @@ def test_closure_stream_matches_complete_list(case):
     assert len(closures) <= len(principals) + 1 + len(got) * len(principals)
 
 
+def refuse_every_list(a, b, base, budget):
+    raise BudgetError("refused")
+
+
 def assert_search_matches_complete_lists(a, classes):
-    got = _search_forall(a, *classes, 1 << 40)
+    # every class but EQUIVALENCE is refused, so it is searched
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks_module, "_subalgebras", refuse_every_list)
+        got = shifting_lemma_forall(a, *classes, 1 << 40)
     want = shifting_lemma_forall(a, *classes)
     assert (got, got.triple) == (want, want.triple)
 
@@ -832,6 +839,30 @@ def test_searched_shifting_lemma_matches_complete_lists(a):
 @pytest.mark.parametrize("label", ["any,any,any", "refl,any,refl", "any,refl,eq"])
 def test_searched_shifting_lemma_matches_complete_lists_on_bundled(corpus, name, label):
     assert_search_matches_complete_lists(corpus[name], tuple(map(RelationClass.parse, label.split(","))))
+
+
+MIXED_CASES = [
+    *((name, label, budget)
+      for name in ("semilattice2", "set2", "z2")
+      for label in ("any,refl,refl", "refl,any,refl")
+      for budget in (12, 13, 14, 15)),
+    *((name, label, 4096)
+      for name in ("z4", "n5_unary")
+      for label in ("any,refl,refl", "refl,any,refl", "refl,refl,any", "any,eq,refl")),
+]
+
+
+@pytest.mark.parametrize("name, label, budget", MIXED_CASES)
+def test_mixed_classes_search_only_the_refused_one(corpus, name, label, budget):
+    # the budget admits the reflexive list and refuses the arbitrary one,
+    # whose stream alone stays within it
+    a, classes = corpus[name], tuple(map(RelationClass.parse, label.split(",")))
+    with pytest.raises(BudgetError):
+        enumerate_compatible_relations(a, budget=budget)
+    enumerate_class_relations(a, RelationClass.REFLEXIVE, budget)
+    got = shifting_lemma_forall(a, *classes, budget)
+    want = shifting_lemma_forall(a, *classes)
+    assert (got.verdict, got.quadruple, got.triple) == (want.verdict, want.quadruple, want.triple)
 
 
 def test_unary_cycle_violates_the_reflexive_shifting_lemma():
@@ -1219,8 +1250,6 @@ def assert_box_join_matches_reference(a, stack_cells=None):
         want = [[ref_box_join(p, r, t) for r in cons] for t in cons]
         assert got.tolist() == want
         failed += int((~got).sum())
-    r, t = cons[0], cons[-1]
-    assert box_join_replay(a, s, r, t) is ref_box_join(as_paired_object(a, s), r, t)
     return failed
 
 
@@ -1236,12 +1265,3 @@ def test_box_join_stack_matches_reference_on_bundled(corpus, name, failed, stack
     # on n5_unary, which is not 3-permutable, the identity fails for some
     # (S, R, T); the suite records it only where 3-permutability terms exist
     assert assert_box_join_matches_reference(corpus[name], stack_cells) == failed
-
-
-def test_box_join_replay_keeps_its_preconditions(corpus):
-    a = corpus["semilattice2"]
-    le = Relation.from_pairs(a.carrier, a.carrier, [(0, 0), (0, 1), (1, 1)])
-    eq = diagonal(a.carrier)
-    for r, t, message in ((le, eq, "R must be"), (eq, le, "T must be")):
-        with pytest.raises(ValueError, match=message):
-            box_join_replay(a, eq, r, t)
