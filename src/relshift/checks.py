@@ -9,9 +9,10 @@ A complete class list is decided on stacks, a block of _STACK_CELLS
 cells at a time: ``_shift_stack`` takes a stack of S and a stack of T,
 the sweeps take the stacked predicates of ``relations``, and each
 enumeration re-checks its relations' compatibility in one call.  A
-single relation or triple is a stack of one, and a searched stream is
-fed one relation at a time, so that a search reads no further than its
-first counterexample.
+single relation or triple is a stack of one.  A searched stream is read
+in blocks of 1, 2, 4, ... relations, so that a search reads little past
+its first counterexample, and a block the budget cuts short is decided
+on the relations it holds.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def enumerate_class_relations(
     REFLEXIVE_POSITIVE is not enumerated: it is the positive members of
     the REFLEXIVE list, in the same order."""
     if cls is RelationClass.REFLEXIVE_POSITIVE:
-        return [r for r in _class_list(a, a, RelationClass.REFLEXIVE, budget) if is_positive(r)]
+        return list(_of_class(cls, _class_list(a, a, RelationClass.REFLEXIVE, budget)))
     return _class_list(a, a, cls, budget)
 
 
@@ -401,18 +402,36 @@ class _Kept:
             yield self.kept[i]
 
 
-def _doubling_blocks(items: Iterator) -> Iterator[list]:
-    """``items`` in lists of 1, 2, 4, ... and at most 256 items: a search
-    often stops at one of the first."""
-    size = 1
-    while block := list(itertools.islice(items, size)):
-        yield block
-        size = min(2 * size, 256)
+# The largest block a searched stream is read in.
+_STREAM_BLOCK = 256
 
 
-def _stacked(rels: list[Relation]) -> np.ndarray:
-    """The matrices of ``rels`` as one boolean stack."""
-    return np.array([x.members for x in rels])
+def _read(rels: Iterable[Relation], row_cells: int) -> Iterator[tuple[list[Relation], np.ndarray]]:
+    """``rels`` as (relations, stack) blocks.  A complete list comes in
+    blocks of _STACK_CELLS cells, one relation making ``row_cells``; a
+    searched stream in blocks of 1, 2, 4, ... and at most _STREAM_BLOCK
+    relations, since a search often stops at one of the first.  When a
+    BudgetError cuts a block short, the relations read before it are
+    yielded, and then the error is raised."""
+
+    def doubling() -> Iterator[list[Relation]]:
+        items, size = iter(rels), 1
+        while True:
+            block: list[Relation] = []
+            try:
+                for rel in itertools.islice(items, size):
+                    block.append(rel)
+            except BudgetError:
+                if block:
+                    yield block
+                raise
+            if not block:
+                return
+            yield block
+            size = min(2 * size, _STREAM_BLOCK)
+
+    for block in _blocks(rels, row_cells) if isinstance(rels, list) else doubling():
+        yield block, np.array([x.members for x in block])
 
 
 def shifting_lemma_forall(
@@ -434,14 +453,15 @@ def shifting_lemma_forall(
     stack of T at once: it skips the (S, T) that fail R ^ S <= T and gives
     the first violating (S, T) in row-major order, with its least
     quadruple, so the triple is the first in lexicographic order.  When
-    the S and the T lists are both complete, S comes in blocks of
-    _STACK_CELLS cells of (S, T) matrices against one stack of every T.
-    Otherwise S comes one at a time, and the T of a class the gate refuses
-    are a fresh stream of its members containing R ^ S, in doubling
-    blocks.  Every stream is a subsequence of its class list, so the
-    first violation is the one the lists give; the check is
-    "inconclusive" only when the streams exhaust the budget, counted in
-    closures."""
+    the S and the T lists are both complete, S comes in ``_read`` blocks
+    of _STACK_CELLS cells of (S, T) matrices against one stack of every T.
+    Otherwise S comes one at a time, so that no closure is spent on S
+    ahead of the T of the first S, and the T of a class the gate refuses
+    are a fresh stream of its members containing R ^ S, in the doubling
+    blocks of ``_read``, decided also when the budget cuts one short.
+    Every stream is a subsequence of its class list, so the first
+    violation is the one the lists give; the check is "inconclusive" only
+    when the streams exhaust the budget, counted in closures."""
     search = _Search(a, None, budget)
     with _shared_classes():
         got = {
@@ -451,15 +471,15 @@ def shifting_lemma_forall(
     rs, ss, ts = got[class_r], got[class_s], got[class_t]
     every_t = s_blocks = None
     if isinstance(ts, list):
-        stack_t = _stacked(ts)
+        stack_t = np.array([t.members for t in ts])
         every_t = [(ts, stack_t)]
         if isinstance(ss, list):
-            s_blocks = [(block, _stacked(block)) for block in _blocks(ss, stack_t.size)]
+            s_blocks = list(_read(ss, stack_t.size))
 
     def t_above(r: Relation, s: Relation) -> Iterator[tuple[list[Relation], np.ndarray]]:
         """The T containing R ^ S, in order, as (relations, stack) blocks."""
         rels = _of_class(class_t, search.stream(class_t, r.members & s.members))
-        return ((block, _stacked(block)) for block in _doubling_blocks(rels))
+        return _read(rels, r.members.size)
 
     try:
         for r in rs:
@@ -493,62 +513,43 @@ def permutability(r: Relation, s: Relation) -> dict:
     return {"level": level, "RS": rs, "SR": sr, "RSR": rsr, "SRS": srs}
 
 
-def _first_failing(
+def _sweep(
     a: Algebra,
     b: Algebra | None,
     cls: RelationClass,
     budget: int | None,
     holds: Callable[[np.ndarray], np.ndarray],
-) -> Relation | None:
-    """The first compatible relation A -> B (B = A when None) of ``cls``,
-    in class order, whose matrix fails the stacked predicate ``holds``
-    (see ``relations._equivalence_stack``), or None.  A complete list is
-    decided a block of _STACK_CELLS cells at a time; a stream is fed one
-    relation at a time, which keeps nothing and may raise BudgetError."""
-    search = _Search(a, b, budget)
-    rels = search.members(cls)
-    if isinstance(rels, list):
-        blocks = _blocks(rels, a.size * search.b.size)
-    else:
-        blocks = ([d] for d in rels)
-    for block in blocks:
-        ok = holds(_stacked(block))
-        if not ok.all():
-            return block[int(ok.argmin())]
-    return None
-
-
-def _every_compatible(
-    a: Algebra,
-    b: Algebra | None,
-    budget: int | None,
-    holds: Callable[[np.ndarray], np.ndarray],
     reason: str,
 ) -> SLResult:
-    """Whether the stacked predicate ``holds`` is true of every compatible
-    D: A -> B; the first D that fails is reported as the triple (D, D, D)
-    with ``reason``."""
+    """Whether the stacked predicate ``holds`` (see
+    ``relations._equivalence_stack``) is true of every compatible D: A -> B
+    (B = A when None) of ``cls``, read by ``_read`` in class order; the
+    first D that fails is reported as the triple (D, D, D) with ``reason``,
+    and a search that exhausts the budget before it as "inconclusive"."""
+    search = _Search(a, b, budget)
     try:
-        d = _first_failing(a, b, RelationClass.ARBITRARY, budget, holds)
+        for block, stack in _read(search.members(cls), a.size * search.b.size):
+            ok = holds(stack)
+            if not ok.all():
+                d = block[int(ok.argmin())]
+                return SLResult("violated", triple=(d, d, d), reason=reason)
     except BudgetError as e:
         return SLResult("inconclusive", reason=str(e))
-    if d is None:
-        return SLResult("holds")
-    return SLResult("violated", triple=(d, d, d), reason=reason)
+    return SLResult("holds")
 
 
 def difunctional_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible relation D: A -> B satisfies D D-op D = D."""
-    return _every_compatible(a, b, budget, _difunctional_stack, "not difunctional")
+    return _sweep(a, b, RelationClass.ARBITRARY, budget, _difunctional_stack, "not difunctional")
 
 
 def goursat_identity_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible D: A -> B satisfies (D D-op)(D D-op) = D D-op."""
-    return _every_compatible(a, b, budget, _goursat_stack, "identity fails")
+    return _sweep(a, b, RelationClass.ARBITRARY, budget, _goursat_stack, "identity fails")
 
 
 def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:
@@ -556,10 +557,8 @@ def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) ->
     equivalence, or "inconclusive: …" when the search of a list the budget
     refuses exhausts that budget in closures."""
     cls = RelationClass.REFLEXIVE_POSITIVE
-    try:
-        return _first_failing(a, None, cls, budget, _equivalence_stack) is None
-    except BudgetError as err:
-        return f"inconclusive: {err}"
+    got = _sweep(a, None, cls, budget, _equivalence_stack, "not an equivalence")
+    return f"inconclusive: {got.reason}" if got.verdict == "inconclusive" else got.holds
 
 
 def ee_properties(a: Algebra, e: Relation, *, sweep: bool | str | None = None) -> dict:

@@ -1,6 +1,8 @@
 """Shifting-Lemma decision procedures and characterization scans."""
 
 import itertools
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -39,6 +41,8 @@ from relshift.terms import find_3perm_terms, find_maltsev_term
 
 from test_algebras import binary_algebra, cyclic_group, semilattice2
 from test_constructions import order2, reflexive_compatible_relations
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled_seed7.json"
 
 
 def random_triple_with_precondition(rng, n):
@@ -535,6 +539,81 @@ class TestSearch:
         z2, z4 = corpus["z2"], corpus["z4"]
         assert difunctional_all(z2, z4, budget=128) == difunctional_all(z2, z4)
         assert goursat_identity_all(z4, z2, budget=128) == goursat_identity_all(z4, z2)
+
+    @pytest.mark.parametrize("cut, sizes", [(0, []), (1, [1]), (2, [1, 1]), (3, [1, 2]), (4, [1, 2, 1])])
+    def test_read_keeps_a_block_the_budget_cuts_short(self, cut, sizes):
+        rels = enumerate_class_relations(cyclic_group(3), RelationClass.ARBITRARY)[:cut]
+
+        def stream():
+            yield from rels
+            raise BudgetError("cut")
+
+        got = []
+        with pytest.raises(BudgetError, match="cut"):
+            for block, stack in checks._read(stream(), 9):
+                assert stack.tolist() == [r.members.tolist() for r in block]
+                got.append(block)
+        assert [len(block) for block in got] == sizes
+        assert [r for block in got for r in block] == rels
+
+    def test_read_cuts_a_stream_in_doubling_blocks(self, monkeypatch):
+        rels = enumerate_class_relations(bundled_corpus()["n5_unary"], RelationClass.REFLEXIVE)
+        assert len(rels) == 36
+        sizes = [len(block) for block, _ in checks._read(iter(rels), 16)]
+        assert sizes == [1, 2, 4, 8, 16, 5]
+        monkeypatch.setattr(checks, "_STREAM_BLOCK", 4)
+        sizes = [len(block) for block, _ in checks._read(iter(rels), 16)]
+        assert sizes == [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 1]
+        # a complete list comes in blocks of _STACK_CELLS cells
+        monkeypatch.setattr(algebras, "_STACK_CELLS", 160)
+        sizes = [len(block) for block, _ in checks._read(rels, 16)]
+        assert sizes == [10, 10, 10, 6]
+
+    def test_budget_that_produced_the_violating_t_decides(self, monkeypatch):
+        # the 25 closures produce the violating T within a doubling block
+        # that the budget cuts short
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        a = bundled_corpus()["n5_unary"]
+        classes = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE, RelationClass.REFLEXIVE
+        got = shifting_lemma_forall(a, *classes, budget=25)
+        want = shifting_lemma_forall(a, *classes)
+        assert (got, got.triple) == (want, want.triple)
+        golden = json.loads(GOLDEN.read_text())["algebras"]["n5_unary"]["shifting_lemma"]
+        assert json.loads(json.dumps(got.to_dict())) == golden["refl,eq,refl"]
+        assert got.quadruple == (0, 2, 1, 3)
+
+    @pytest.mark.parametrize("name", sorted(bundled_corpus()))
+    def test_small_budgets_decide_as_the_default_and_as_single_reads(self, name, monkeypatch):
+        # a decided result is the default one, and reading the searched
+        # streams one relation at a time changes no result, reason included
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        a = bundled_corpus()[name]
+        for label in (*SUITE_CLASS_COMBOS, "refl,any,refl"):
+            classes = tuple(map(RelationClass.parse, label.split(",")))
+            want = shifting_lemma_forall(a, *classes)
+            for budget in range(1, 61):
+                got = shifting_lemma_forall(a, *classes, budget=budget)
+                with monkeypatch.context() as mp:
+                    mp.setattr(checks, "_STREAM_BLOCK", 1)
+                    single = shifting_lemma_forall(a, *classes, budget=budget)
+                assert (got, got.triple) == (single, single.triple), (label, budget)
+                if got.verdict != "inconclusive":
+                    assert (got, got.triple) == (want, want.triple), (label, budget)
+
+    @pytest.mark.parametrize("name", sorted(bundled_corpus()))
+    def test_sweeps_read_in_blocks_as_single_reads(self, name, monkeypatch):
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        a = bundled_corpus()[name]
+
+        def sweeps(budget):
+            got = [difunctional_all(a, budget=budget), goursat_identity_all(a, budget=budget)]
+            return [(r, r.triple) for r in got] + [reflexive_positive_all_equivalence(a, budget)]
+
+        for budget in range(1, 81):
+            got = sweeps(budget)
+            with monkeypatch.context() as mp:
+                mp.setattr(checks, "_STREAM_BLOCK", 1)
+                assert got == sweeps(budget), budget
 
 
 class TestTermImplications:
