@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -52,6 +53,34 @@ class AlgebraParseError(ValueError):
 
 class PreconditionError(ValueError):
     """A check was called outside its contract (e.g. R ^ S not below T)."""
+
+
+class RelationClass(Enum):
+    """The classes of relations the quantified checks range over."""
+
+    ARBITRARY = "arbitrary"
+    REFLEXIVE = "reflexive"
+    REFLEXIVE_POSITIVE = "reflexive-positive"
+    EQUIVALENCE = "equivalence"
+
+    @classmethod
+    def parse(cls, text: str) -> "RelationClass":
+        aliases = {
+            "arbitrary": cls.ARBITRARY,
+            "any": cls.ARBITRARY,
+            "refl": cls.REFLEXIVE,
+            "reflexive": cls.REFLEXIVE,
+            "reflpos": cls.REFLEXIVE_POSITIVE,
+            "refl-pos": cls.REFLEXIVE_POSITIVE,
+            "reflexive-positive": cls.REFLEXIVE_POSITIVE,
+            "eq": cls.EQUIVALENCE,
+            "equiv": cls.EQUIVALENCE,
+            "equivalence": cls.EQUIVALENCE,
+        }
+        try:
+            return aliases[text.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown relation class {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -214,7 +243,7 @@ def _close_between(a: Algebra, b: Algebra, m: np.ndarray) -> np.ndarray:
 
     Each round applies an operation of arity k to the |m|^k tuples of
     members only, so its cost follows the relation, not the carrier:
-    ``compatible_close`` uses it on carriers of up to 16 elements, where
+    ``_least`` uses it on carriers of up to 16 elements, where
     _stack_closer's tuples of all |A||B| cells would be far costlier.
     """
     count = np.count_nonzero(m)
@@ -229,8 +258,30 @@ def _close_between(a: Algebra, b: Algebra, m: np.ndarray) -> np.ndarray:
 
 def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, int]]) -> Relation:
     """Least compatible relation containing ``seed`` (subalgebra of A^2)."""
-    m = Relation.from_pairs(a.carrier, a.carrier, seed).members.copy()
-    return Relation(a.carrier, a.carrier, _close_between(a, a, m))
+    m = Relation.from_pairs(a.carrier, a.carrier, seed).members
+    return Relation(a.carrier, a.carrier, _least(a, a, RelationClass.ARBITRARY, m))
+
+
+def _least(a: Algebra, b: Algebra, cls: RelationClass, m: np.ndarray) -> np.ndarray:
+    """The least compatible relation A -> B of class ``cls`` (B = A unless
+    ARBITRARY) containing the boolean matrix ``m``, as a new matrix.
+
+    Each class is closed under meets and holds the full relation, so the
+    least member exists.  ARBITRARY closes ``m``; REFLEXIVE adds the
+    diagonal first; REFLEXIVE_POSITIVE, the compatible tolerances, also
+    symmetrises it, and the closure of a symmetric set is symmetric;
+    EQUIVALENCE then closes the tolerance transitively, by _squared, and
+    the transitive closure of a compatible tolerance is compatible.
+    """
+    m = m.copy()
+    if cls is not RelationClass.ARBITRARY:
+        np.fill_diagonal(m, True)
+    if cls in (RelationClass.REFLEXIVE_POSITIVE, RelationClass.EQUIVALENCE):
+        m |= m.T
+    _close_between(a, b, m)
+    if cls is RelationClass.EQUIVALENCE:
+        _squared(m[None])
+    return m
 
 
 def _translations(a: Algebra) -> list[tuple[int, ...]]:
@@ -272,7 +323,7 @@ def _stack_closer(a: Algebra, b: Algebra) -> Callable[[np.ndarray], np.ndarray]:
     _STACK_CELLS tuples at a time; a matrix that did not grow in the round
     is closed.  The cost is (|A||B|)^k per matrix whatever its members, so
     this kernel serves the enumeration, whose budget gate keeps |A||B|
-    small, and not ``compatible_close`` (see _close_between).
+    small, and not ``_least`` (see _close_between).
     """
     nb = b.size
     cells = a.size * nb
@@ -391,89 +442,6 @@ def _joins(bottom: np.ndarray, principals: np.ndarray, close: Callable) -> list[
                 grown += new(close(unions[list(todo.values())]))
         frontier = grown
     return sorted(found.values(), key=lambda m: np.flatnonzero(m).tolist())
-
-
-def _bits(m: np.ndarray) -> int:
-    """The flat member positions of the boolean matrix ``m`` as the set
-    bits of one int: position i is bit i."""
-    return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
-
-
-def _principal_closures(
-    a: Algebra, b: Algebra, base: np.ndarray, spend: Callable[[], None]
-) -> dict[int, tuple[int, np.ndarray]]:
-    """Sg(base + cell j), as its bits and its matrix, for every cell j of
-    A x B outside ``base``, keyed by j; ``spend()`` runs before each
-    closure and raises to stop."""
-    out = {}
-    for j in np.flatnonzero(~base).tolist():
-        spend()
-        m = base.copy()
-        m.flat[j] = True
-        m = _close_between(a, b, m)
-        out[j] = (_bits(m), m)
-    return out
-
-
-def _closed_above(
-    a: Algebra,
-    b: Algebra,
-    above: np.ndarray,
-    principals: dict[int, tuple[int, np.ndarray]],
-    spend: Callable[[], None],
-) -> Iterator[Relation]:
-    """Every compatible relation A -> B containing ``above``, one at a
-    time, in _joins' order (sorted by flat member positions): a
-    close-by-one depth-first search (Kuznetsov 1993) in the order of
-    Ganter's NextClosure.
-
-    ``principals`` is ``_principal_closures`` of a base below ``above``.
-    The search starts at the closure C of ``above``.  At a closed node C
-    the free cells j, those outside C past the cells already decided, are
-    taken in order: j is skipped when Sg(base + j) has a cell below j
-    outside C; else C + Sg(base + j) is closed and the search descends
-    into it only when no cell below j was added.  ``spend()`` runs before
-    each closure, the first included, and raises to stop the search.  A
-    set sorts before every set it is a prefix of, so C comes just before
-    the subtree of the first free j above all its cells, or after all its
-    subtrees.  Sets of cells are Python ints (see _bits).  Every relation
-    is checked once more, on its own, by ``_is_compatible_between``.
-    """
-    everything = (1 << above.size) - 1
-
-    def checked(m: np.ndarray) -> Relation:
-        rel = Relation(a.carrier, b.carrier, m)
-        if not _is_compatible_between(a, b, rel.members[None])[0]:
-            raise RuntimeError(f"closure search kept an incompatible relation {rel.pairs()}")
-        return rel
-
-    spend()
-    m = _close_between(a, b, above.copy())
-    # each node: [C as bits, C as a matrix, the first cell not decided, C yielded]
-    nodes = [[_bits(m), m, 0, False]]
-    while nodes:
-        node = nodes[-1]
-        c, m, j, shown = node
-        free = everything & (~c >> j << j)
-        if not free:
-            nodes.pop()
-            if not shown:
-                yield checked(m)
-            continue
-        j = (free & -free).bit_length() - 1
-        node[2] = j + 1
-        if not shown and c >> j == 0:
-            node[3] = True
-            yield checked(m)
-        below = ~c & ((1 << j) - 1)
-        pbits, pm = principals[j]
-        if pbits & below:
-            continue
-        spend()
-        d = _close_between(a, b, m | pm)
-        dbits = _bits(d)
-        if not dbits & below:
-            nodes.append([dbits, d, j + 1, False])
 
 
 def all_congruences(a: Algebra) -> list[Relation]:

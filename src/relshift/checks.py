@@ -9,32 +9,32 @@ A complete class list is decided on stacks, a block of _STACK_CELLS
 cells at a time: ``_shift_stack`` takes a stack of S and a stack of T,
 the sweeps take the stacked predicates of ``relations``, and each
 enumeration re-checks its relations' compatibility in one call.  A
-single relation or triple is a stack of one.  A searched stream is read
-in blocks of 1, 2, 4, ... relations, so that a search reads little past
-its first counterexample, and a block the budget cuts short is decided
-on the relations it holds.
+single relation or triple is a stack of one.  A check whose list the
+2^k gate refuses is decided instead by a ``_TupleSearch`` over tuples of
+3 to 5 elements: every violation shrinks to the least class members
+that hold its tuple's pairs, generated by ``algebras._least`` with their
+closures counted against the same budget.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .algebras import (
     Algebra,
     PreconditionError,
+    RelationClass,
     _blocks,
-    _closed_above,
     _is_compatible_between,
     _joins,
-    _principal_closures,
+    _least,
     _require_reflexive_compatible,
     _stack_closer,
     all_congruences,
@@ -75,32 +75,6 @@ DEFAULT_ENUM_BUDGET = 1 << 16
 class BudgetError(RuntimeError):
     """An enumeration would exceed its candidate budget, or a search its
     closure budget."""
-
-
-class RelationClass(Enum):
-    ARBITRARY = "arbitrary"
-    REFLEXIVE = "reflexive"
-    REFLEXIVE_POSITIVE = "reflexive-positive"
-    EQUIVALENCE = "equivalence"
-
-    @classmethod
-    def parse(cls, text: str) -> "RelationClass":
-        aliases = {
-            "arbitrary": cls.ARBITRARY,
-            "any": cls.ARBITRARY,
-            "refl": cls.REFLEXIVE,
-            "reflexive": cls.REFLEXIVE,
-            "reflpos": cls.REFLEXIVE_POSITIVE,
-            "refl-pos": cls.REFLEXIVE_POSITIVE,
-            "reflexive-positive": cls.REFLEXIVE_POSITIVE,
-            "eq": cls.EQUIVALENCE,
-            "equiv": cls.EQUIVALENCE,
-            "equivalence": cls.EQUIVALENCE,
-        }
-        try:
-            return aliases[text.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown relation class {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -259,15 +233,6 @@ def _shared_classes() -> Iterator[dict]:
         _SHARED.reset(token)
 
 
-def _class_base(a: Algebra, b: Algebra, cls: RelationClass) -> np.ndarray:
-    """The least matrix A -> B of class ARBITRARY (empty) or, for the
-    other classes, REFLEXIVE (the diagonal): choice is free off it."""
-    base = np.zeros((a.size, b.size), dtype=bool)
-    if cls is not RelationClass.ARBITRARY:
-        np.fill_diagonal(base, True)
-    return base
-
-
 def _class_list(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) -> list[Relation]:
     """The compatible relations A -> B of class ARBITRARY, REFLEXIVE or
     EQUIVALENCE (the last two with B = A), lexicographic: built once per
@@ -280,7 +245,8 @@ def _class_list(a: Algebra, b: Algebra, cls: RelationClass, budget: int | None) 
         key = (a, b, cls, None if eq else budget)
         if key not in shared:
             try:
-                base = _class_base(a, b, cls)
+                # choice is free off the class's least matrix: empty, or the diagonal
+                base = np.eye(a.size, b.size, dtype=bool) & (cls is not RelationClass.ARBITRARY)
                 shared[key] = all_congruences(a) if eq else _subalgebras(a, b, base, budget)
             except BudgetError as err:
                 shared[key] = err
@@ -315,123 +281,195 @@ def enumerate_class_relations(
     REFLEXIVE_POSITIVE is not enumerated: it is the positive members of
     the REFLEXIVE list, in the same order."""
     if cls is RelationClass.REFLEXIVE_POSITIVE:
-        return list(_of_class(cls, _class_list(a, a, RelationClass.REFLEXIVE, budget)))
+        return [r for r in _class_list(a, a, RelationClass.REFLEXIVE, budget) if is_positive(r)]
     return _class_list(a, a, cls, budget)
 
 
-class _Search:
-    """The relations of one check, class by class (see ``members``): a
-    complete list, or a search stream of the compatible relations A -> B
-    (B = A when None) of the class containing a base, in class order, by
-    ``algebras._closed_above``.  The streams share one budget of
-    closures, the resolved enumeration budget, and compute the principal
-    closures of each class base once; a stream that would run one closure
-    more raises BudgetError, naming the budget and the relations
-    produced."""
+def _listed(a: Algebra, b: Algebra | None, cls: RelationClass, budget: int | None) -> list[Relation]:
+    """The complete list of ``cls`` on A (A -> B for ARBITRARY, B = A when
+    None), through the public ``enumerate_*``, whose BudgetError sends a
+    check to its ``_TupleSearch``."""
+    if cls is RelationClass.ARBITRARY:
+        return enumerate_compatible_relations(a, b, budget)
+    return enumerate_class_relations(a, cls, budget)
+
+
+def _read(rels: list[Relation], row_cells: int) -> Iterator[tuple[list[Relation], np.ndarray]]:
+    """``rels`` as (relations, stack) blocks of _STACK_CELLS cells, one
+    relation making ``row_cells``."""
+    for block in _blocks(rels, row_cells):
+        yield block, np.array([x.members for x in block])
+
+
+def _pairwise(f: Callable[[int, int], int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """f(i[k], j[k]) for every k of the broadcast index arrays i and j, as
+    an array of their shape, with f called once per distinct pair."""
+    i, j = np.broadcast_arrays(i, j)
+    keys, inverse = np.unique(i.astype(np.int64) << 32 | j, return_inverse=True)
+    got = np.array([f(*divmod(key, 1 << 32)) for key in keys.tolist()], dtype=np.intp)
+    return got[inverse].reshape(i.shape)
+
+
+class _Generated:
+    """The members of one class that a ``_TupleSearch`` generates, numbered
+    in order of first appearance, each the least member above some matrix
+    (see ``algebras._least``).  ``cell[x, y]`` is the number of the least
+    member above the cell (x, y) of A x B, its principal member; the other
+    members are joins of principal ones, memoised per pair of numbers.  A
+    matrix met once, as a seed or as a member, is keyed by its packed bits
+    and not closed again."""
+
+    def __init__(self, search: _TupleSearch, cls: RelationClass):
+        self.search, self.cls = search, cls
+        self.mats: list[np.ndarray] = []
+        self.ids: dict[bytes, int] = {}
+        self.joins: dict[tuple[int, int], int] = {}
+        shape = (search.a.size, search.b.size)
+        self.stack = np.zeros((0, *shape), dtype=bool)
+        cells = np.eye(shape[0] * shape[1], dtype=bool).reshape(-1, *shape)
+        self.cell = np.array([self.least(m) for m in cells]).reshape(shape)
+
+    def least(self, m: np.ndarray) -> int:
+        """The number of the least member containing the matrix ``m``."""
+        key = np.packbits(m).tobytes()
+        if key not in self.ids:
+            self.search.spend()
+            g = _least(self.search.a, self.search.b, self.cls, m)
+            self.ids[key] = self.ids.setdefault(np.packbits(g).tobytes(), len(self.mats))
+            if self.ids[key] == len(self.mats):
+                self.mats.append(g)
+        return self.ids[key]
+
+    def join(self, i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        if key not in self.joins:
+            self.joins[key] = self.least(self.mats[i] | self.mats[j])
+        return self.joins[key]
+
+    def joined(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return _pairwise(self.join, i, j)
+
+    def stacked(self) -> np.ndarray:
+        """Every member so far as one stack, indexed by number."""
+        if len(self.stack) < len(self.mats):
+            self.stack = np.array(self.mats)
+        return self.stack
+
+    def relation(self, i: int) -> Relation:
+        """Member ``i`` as a Relation, checked once more for compatibility."""
+        a, b = self.search.a, self.search.b
+        rel = Relation(a.carrier, b.carrier, self.mats[i])
+        if not _is_compatible_between(a, b, rel.members[None])[0]:
+            raise RuntimeError(f"search generated an incompatible relation {rel.pairs()}")
+        return rel
+
+
+class _TupleSearch:
+    """One check decided over tuples of elements, in lexicographic order, a
+    block of tuples at a time, where the 2^k gate refuses a list: each
+    tuple's violation holds of some relation of the class iff it holds of
+    the least members generated from the tuple's pairs (see _Generated,
+    one per class of the check).  The closures of every class share one budget, the
+    resolved enumeration budget; the closure past it raises BudgetError,
+    naming the budget and the tuples decided, and the check is
+    "inconclusive"."""
 
     def __init__(self, a: Algebra, b: Algebra | None, budget: int | None):
-        self.a, self.b, self.given = a, a if b is None else b, budget
+        self.a, self.b = a, a if b is None else b
         self.budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
-        self.closures = self.produced = 0
-        self.principals: dict[bool, dict] = {}
-        self.kept: dict[bool, _Kept] = {}
+        self.closures = self.tried = 0
 
     def spend(self) -> None:
         if self.closures == self.budget:
             raise BudgetError(
-                f"search exhausted budget {self.budget} closures after {self.produced} relations"
+                f"search exhausted budget {self.budget} closures after {self.tried} tuples"
             )
         self.closures += 1
 
-    def members(self, cls: RelationClass, keep: bool = False) -> Iterable[Relation]:
-        """The relations of ``cls`` in class order: their list, through the
-        public ``enumerate_*``, when the 2^k gate admits it; else the
-        stream of the class they are drawn from, ARBITRARY or else
-        REFLEXIVE, only its positive members for REFLEXIVE_POSITIVE.  A
-        stream asked for with ``keep`` is kept (see _Kept), and every later
-        request drawn from the same class reads it, so that its closures
-        run once."""
+    def first(self, bad: np.ndarray) -> tuple[int, ...] | None:
+        """The index of the first violating tuple of a block, in order; None
+        when there is none, and the block's tuples are decided."""
+        if bad.any():
+            return tuple(int(k) for k in np.unravel_index(bad.argmax(), bad.shape))
+        self.tried += bad.size
+        return None
+
+    def decide(self, check: Callable[..., SLResult], *args) -> SLResult:
         try:
-            if cls is RelationClass.ARBITRARY:
-                return enumerate_compatible_relations(self.a, self.b, self.given)
-            return enumerate_class_relations(self.a, cls, self.given)
-        except BudgetError:
-            reflexive = cls is not RelationClass.ARBITRARY
-            drawn = self.kept.get(reflexive)
-            if drawn is None:
-                drawn = self.stream(cls)
-                if keep:
-                    drawn = self.kept[reflexive] = _Kept(drawn)
-            rels = _of_class(cls, drawn)
-            return _Kept(rels) if keep and cls is RelationClass.REFLEXIVE_POSITIVE else rels
-
-    def stream(self, cls: RelationClass, above: np.ndarray | None = None) -> Iterator[Relation]:
-        """The relations of class ARBITRARY, or else REFLEXIVE, containing
-        ``above``, in class order; REFLEXIVE_POSITIVE reads the REFLEXIVE
-        stream (see _of_class)."""
-        reflexive = cls is not RelationClass.ARBITRARY
-        base = _class_base(self.a, self.b, cls)
-        if reflexive not in self.principals:
-            self.principals[reflexive] = _principal_closures(self.a, self.b, base, self.spend)
-        bottom = base if above is None else base | above
-        for rel in _closed_above(self.a, self.b, bottom, self.principals[reflexive], self.spend):
-            self.produced += 1
-            yield rel
+            return check(self, *args)
+        except BudgetError as e:
+            return SLResult("inconclusive", reason=str(e))
 
 
-def _of_class(cls: RelationClass, rels: Iterable[Relation]) -> Iterable[Relation]:
-    """``rels``, only its positive members when ``cls`` is REFLEXIVE_POSITIVE."""
-    if cls is RelationClass.REFLEXIVE_POSITIVE:
-        return (r for r in rels if is_positive(r))
-    return rels
+def _shifting_tuples(
+    search: _TupleSearch, class_r: RelationClass, class_s: RelationClass, class_t: RelationClass
+) -> SLResult:
+    """The quantified Shifting Lemma by quadruples (x, y, u, v), a block per
+    x.  With R' = <(x,y), (u,v)> in R's class, S' = <(x,u), (y,v)> in S's
+    and T' = <R' ^ S' + (x,y)> in T's, some triple of the classes violates
+    the lemma at (x, y, u, v) iff (u, v) is not in T': a violating T holds
+    R ^ S >= R' ^ S' and (x, y), so T >= T'.  The first such quadruple is
+    also the least one of its own triple (R', S', T')."""
+    classes = {c: _Generated(search, c) for c in dict.fromkeys((class_r, class_s, class_t))}
+    gr, gs, gt = classes[class_r], classes[class_s], classes[class_t]
+    n = search.a.size
+    y, u, v = np.ogrid[:n, :n, :n]
+    for x in range(n):
+        r = gr.joined(gr.cell[x, y], gr.cell[u, v])
+        s = gs.joined(gs.cell[x, u], gs.cell[y, v])
+        meets = _pairwise(lambda i, j: gt.least(gr.mats[i] & gs.mats[j]), r, s)
+        t = gt.joined(meets, gt.cell[x, y])
+        k = search.first(~gt.stacked()[t, u, v])
+        if k is not None:
+            triple = (gr.relation(r[k]), gs.relation(s[k]), gt.relation(t[k]))
+            return SLResult("violated", quadruple=(x, *k), triple=triple)
+    return SLResult("holds")
 
 
-class _Kept:
-    """The items of an iterator, read only when first needed and kept:
-    every pass replays the prefix read so far, then reads on."""
-
-    def __init__(self, items: Iterator):
-        self.items, self.kept = items, []
-
-    def __iter__(self) -> Iterator:
-        for i in itertools.count():
-            if i == len(self.kept):
-                self.kept.extend(itertools.islice(self.items, 1))
-                if i == len(self.kept):
-                    return
-            yield self.kept[i]
+def _difunctional_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(x, y, u, v), a block per x: D' = <(x,u), (y,u), (y,v)> must hold
+    (x, v).  Yields each block's members D' and where they fail."""
+    na, nb = d.cell.shape
+    y, u, v = np.ogrid[:na, :nb, :nb]
+    for x in range(na):
+        ids = d.joined(d.joined(d.cell[x, u], d.cell[y, u]), d.cell[y, v])
+        yield ids, ~d.stacked()[ids, x, v]
 
 
-# The largest block a searched stream is read in.
-_STREAM_BLOCK = 256
+def _goursat_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(x, y, z, p, q), a block per (x, y): with D' = <(p,x), (p,y), (q,y),
+    (q,z)>, x and z must share a preimage in D', or D-op D, the relation
+    that ``relations._goursat_stack`` squares, is not transitive.  Yields
+    each block's members D' and where they fail."""
+    na, nb = d.cell.shape
+    z, p, q = np.ogrid[:nb, :na, :na]
+    for x, y in itertools.product(range(nb), repeat=2):
+        ids = d.joined(d.joined(d.cell[p, x], d.cell[p, y]), d.joined(d.cell[q, y], d.cell[q, z]))
+        stack = d.stacked()
+        yield ids, ~(stack[ids, :, x] & stack[ids, :, z]).any(-1)
 
 
-def _read(rels: Iterable[Relation], row_cells: int) -> Iterator[tuple[list[Relation], np.ndarray]]:
-    """``rels`` as (relations, stack) blocks.  A complete list comes in
-    blocks of _STACK_CELLS cells, one relation making ``row_cells``; a
-    searched stream in blocks of 1, 2, 4, ... and at most _STREAM_BLOCK
-    relations, since a search often stops at one of the first.  When a
-    BudgetError cuts a block short, the relations read before it are
-    yielded, and then the error is raised."""
+def _tolerance_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(x, y, z), a block per x: the tolerance <(x,y), (y,z)> must hold
+    (x, z), or it is not transitive.  Yields each block's members and
+    where they fail."""
+    n = d.cell.shape[0]
+    y, z = np.ogrid[:n, :n]
+    for x in range(n):
+        ids = d.joined(d.cell[x, y], d.cell[y, z])
+        yield ids, ~d.stacked()[ids, x, z]
 
-    def doubling() -> Iterator[list[Relation]]:
-        items, size = iter(rels), 1
-        while True:
-            block: list[Relation] = []
-            try:
-                for rel in itertools.islice(items, size):
-                    block.append(rel)
-            except BudgetError:
-                if block:
-                    yield block
-                raise
-            if not block:
-                return
-            yield block
-            size = min(2 * size, _STREAM_BLOCK)
 
-    for block in _blocks(rels, row_cells) if isinstance(rels, list) else doubling():
-        yield block, np.array([x.members for x in block])
+def _swept(search: _TupleSearch, cls: RelationClass, tuples: Callable, reason: str) -> SLResult:
+    """A sweep's ``tuples`` over the members of ``cls`` that ``search``
+    generates; the first failing member is reported as (D, D, D)."""
+    d = _Generated(search, cls)
+    for ids, bad in tuples(d):
+        k = search.first(bad)
+        if k is not None:
+            rel = d.relation(ids[k])
+            return SLResult("violated", triple=(rel, rel, rel), reason=reason)
+    return SLResult("holds")
 
 
 def shifting_lemma_forall(
@@ -442,56 +480,37 @@ def shifting_lemma_forall(
     budget: int | None = None,
 ) -> SLResult:
     """Shifting Lemma quantified over all compatible relations of the given
-    classes on A.  Returns the first violation in lexicographic triple
-    order.  Each distinct class is asked of ``_Search.members`` once, S's
-    first and kept, within one ``_shared_classes`` scope (the caller's, if
-    one is open), so each enumeration is built once and each stream read
-    once: REFLEXIVE_POSITIVE and REFLEXIVE share the REFLEXIVE list, or
-    S's kept stream.
+    classes on A.  Each distinct class is listed once, S's first, within
+    one ``_shared_classes`` scope (the caller's, if one is open), so each
+    enumeration is built once: REFLEXIVE_POSITIVE reads the REFLEXIVE list.
 
-    For each R in order, ``_shift_stack`` decides a stack of S against a
-    stack of T at once: it skips the (S, T) that fail R ^ S <= T and gives
+    For each R in order, ``_shift_stack`` decides a block of S, in
+    ``_read`` blocks of _STACK_CELLS cells of (S, T) matrices, against one
+    stack of every T: it skips the (S, T) that fail R ^ S <= T and gives
     the first violating (S, T) in row-major order, with its least
     quadruple, so the triple is the first in lexicographic order.  When
-    the S and the T lists are both complete, S comes in ``_read`` blocks
-    of _STACK_CELLS cells of (S, T) matrices against one stack of every T.
-    Otherwise S comes one at a time, so that no closure is spent on S
-    ahead of the T of the first S, and the T of a class the gate refuses
-    are a fresh stream of its members containing R ^ S, in the doubling
-    blocks of ``_read``, decided also when the budget cuts one short.
-    Every stream is a subsequence of its class list, so the first
-    violation is the one the lists give; the check is "inconclusive" only
-    when the streams exhaust the budget, counted in closures."""
-    search = _Search(a, None, budget)
-    with _shared_classes():
-        got = {
-            cls: search.members(cls, keep=cls is class_s)
-            for cls in dict.fromkeys((class_s, class_r, class_t))
-        }
-    rs, ss, ts = got[class_r], got[class_s], got[class_t]
-    every_t = s_blocks = None
-    if isinstance(ts, list):
-        stack_t = np.array([t.members for t in ts])
-        every_t = [(ts, stack_t)]
-        if isinstance(ss, list):
-            s_blocks = list(_read(ss, stack_t.size))
-
-    def t_above(r: Relation, s: Relation) -> Iterator[tuple[list[Relation], np.ndarray]]:
-        """The T containing R ^ S, in order, as (relations, stack) blocks."""
-        rels = _of_class(class_t, search.stream(class_t, r.members & s.members))
-        return _read(rels, r.members.size)
-
+    the gate refuses any class, the check is decided by quadruples
+    instead (see _shifting_tuples): a violation then reports the least
+    violating quadruple and the triple generated from it, and the check
+    is "inconclusive" only when the search exhausts the budget, counted
+    in closures."""
     try:
-        for r in rs:
-            for s_block, stack_s in s_blocks or (([s], s.members[None]) for s in ss):
-                for t_block, stack in every_t or t_above(r, s_block[0]):
-                    _, bad = _shift_stack(r.members, stack_s, stack)
-                    if bad is not None:
-                        j, i, quadruple = bad
-                        triple = (r, s_block[j], t_block[i])
-                        return SLResult("violated", quadruple=quadruple, triple=triple)
-    except BudgetError as e:
-        return SLResult("inconclusive", reason=str(e))
+        with _shared_classes():
+            got = {
+                cls: _listed(a, None, cls, budget)
+                for cls in dict.fromkeys((class_s, class_r, class_t))
+            }
+    except BudgetError:
+        return _TupleSearch(a, None, budget).decide(_shifting_tuples, class_r, class_s, class_t)
+    rs, ss, ts = got[class_r], got[class_s], got[class_t]
+    stack_t = np.array([t.members for t in ts])
+    s_blocks = list(_read(ss, stack_t.size))
+    for r in rs:
+        for s_block, stack_s in s_blocks:
+            _, bad = _shift_stack(r.members, stack_s, stack_t)
+            if bad is not None:
+                j, i, quadruple = bad
+                return SLResult("violated", quadruple=quadruple, triple=(r, s_block[j], ts[i]))
     return SLResult("holds")
 
 
@@ -519,22 +538,25 @@ def _sweep(
     cls: RelationClass,
     budget: int | None,
     holds: Callable[[np.ndarray], np.ndarray],
+    tuples: Callable[[_Generated], Iterator[tuple[np.ndarray, np.ndarray]]],
     reason: str,
 ) -> SLResult:
     """Whether the stacked predicate ``holds`` (see
     ``relations._equivalence_stack``) is true of every compatible D: A -> B
     (B = A when None) of ``cls``, read by ``_read`` in class order; the
-    first D that fails is reported as the triple (D, D, D) with ``reason``,
-    and a search that exhausts the budget before it as "inconclusive"."""
-    search = _Search(a, b, budget)
+    first D that fails is reported as the triple (D, D, D) with ``reason``.
+    When the gate refuses the list, ``tuples`` decides the same predicate
+    on generated members (see _swept), and a search that exhausts the
+    budget is "inconclusive"."""
     try:
-        for block, stack in _read(search.members(cls), a.size * search.b.size):
-            ok = holds(stack)
-            if not ok.all():
-                d = block[int(ok.argmin())]
-                return SLResult("violated", triple=(d, d, d), reason=reason)
-    except BudgetError as e:
-        return SLResult("inconclusive", reason=str(e))
+        rels = _listed(a, b, cls, budget)
+    except BudgetError:
+        return _TupleSearch(a, b, budget).decide(_swept, cls, tuples, reason)
+    for block, stack in _read(rels, rels[0].members.size):
+        ok = holds(stack)
+        if not ok.all():
+            d = block[int(ok.argmin())]
+            return SLResult("violated", triple=(d, d, d), reason=reason)
     return SLResult("holds")
 
 
@@ -542,22 +564,29 @@ def difunctional_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible relation D: A -> B satisfies D D-op D = D."""
-    return _sweep(a, b, RelationClass.ARBITRARY, budget, _difunctional_stack, "not difunctional")
+    return _sweep(
+        a, b, RelationClass.ARBITRARY, budget,
+        _difunctional_stack, _difunctional_tuples, "not difunctional",
+    )
 
 
 def goursat_identity_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible D: A -> B satisfies (D D-op)(D D-op) = D D-op."""
-    return _sweep(a, b, RelationClass.ARBITRARY, budget, _goursat_stack, "identity fails")
+    return _sweep(
+        a, b, RelationClass.ARBITRARY, budget, _goursat_stack, _goursat_tuples, "identity fails"
+    )
 
 
 def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:
     """Whether every reflexive positive compatible relation on A is an
     equivalence, or "inconclusive: …" when the search of a list the budget
     refuses exhausts that budget in closures."""
-    cls = RelationClass.REFLEXIVE_POSITIVE
-    got = _sweep(a, None, cls, budget, _equivalence_stack, "not an equivalence")
+    got = _sweep(
+        a, None, RelationClass.REFLEXIVE_POSITIVE, budget,
+        _equivalence_stack, _tolerance_tuples, "not an equivalence",
+    )
     return f"inconclusive: {got.reason}" if got.verdict == "inconclusive" else got.holds
 
 

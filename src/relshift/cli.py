@@ -11,7 +11,8 @@ the exit code.  The codes are a stable contract:
      and budget errors, a failed suite record, a closed stdout, or anything
      unexpected;
      the document is then {"error": message}
-  3  inconclusive (enumeration or clone budget exceeded)
+  3  inconclusive: the clone budget cut a term search, or a check whose
+     class list was refused spent the enumeration budget in closures
 
 ``--help`` is the one exception: it prints its text, not JSON, and exits 0.
 

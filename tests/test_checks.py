@@ -41,6 +41,7 @@ from relshift.terms import find_3perm_terms, find_maltsev_term
 
 from test_algebras import binary_algebra, cyclic_group, semilattice2
 from test_constructions import order2, reflexive_compatible_relations
+from test_reference import assert_searched_shifting_lemma, assert_searched_sweep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled_seed7.json"
 
@@ -362,24 +363,24 @@ class TestShiftingLemmaForall:
         assert (got, got.triple) == (want, want.triple)
 
     def test_budget_gives_inconclusive(self):
-        # the refused class is searched; its 20 principal closures exceed 16
+        # the refused class is searched; its 25 principal closures exceed 16
         big = Algebra("set5", Carrier(5), Signature(()), {})
         res = shifting_lemma_forall(big, *(RelationClass.REFLEXIVE,) * 3, budget=16)
         assert res.verdict == "inconclusive"
-        assert res.reason == "search exhausted budget 16 closures after 0 relations"
+        assert res.reason == "search exhausted budget 16 closures after 0 tuples"
 
     @pytest.mark.parametrize("classes", [
         "reflpos,refl,reflpos", "refl,reflpos,refl", "reflpos,reflpos,reflpos", "refl,refl,refl",
     ])
     def test_reflexive_positive_budget_reason(self, classes):
         # REFLEXIVE_POSITIVE is read off REFLEXIVE, refused by the same gate
-        # on the diagonal base (5 * 4 free cells) and searched on the same
-        # stream, whose 20 principal closures exceed the budget
+        # on the diagonal base (5 * 4 free cells), so the check is searched,
+        # and the 25 principal closures of its first class exceed the budget
         big = Algebra("set5", Carrier(5), Signature(()), {})
         layout = [RelationClass.parse(c) for c in classes.split(",")]
         res = shifting_lemma_forall(big, *layout, budget=16)
         assert (res.verdict, res.reason) == (
-            "inconclusive", "search exhausted budget 16 closures after 0 relations"
+            "inconclusive", "search exhausted budget 16 closures after 0 tuples"
         )
 
 
@@ -399,12 +400,14 @@ class TestCharacterizationScans:
 
     def test_budget_inconclusive(self):
         big = Algebra("set3", Carrier(3), Signature(()), {})
-        # 2^9 candidates exceed 16, but the search finds the first
-        # non-difunctional relation within 16 closures
-        assert difunctional_all(big, budget=16) == difunctional_all(big)
-        res = difunctional_all(big, budget=9)  # the 9 principal closures
+        # 2^9 candidates exceed 30, but the search finds the first
+        # non-difunctional relation within 30 closures: the 9 principal
+        # closures and the joins of the first block of tuples
+        assert difunctional_all(big, budget=30) == difunctional_all(big)
+        assert difunctional_all(big, budget=29).verdict == "inconclusive"
+        res = difunctional_all(big, budget=9)
         assert (res.verdict, res.reason) == (
-            "inconclusive", "search exhausted budget 9 closures after 0 relations"
+            "inconclusive", "search exhausted budget 9 closures after 0 tuples"
         )
 
     def test_ee_properties_diagonal(self):
@@ -451,12 +454,12 @@ class TestExplicitBudget:
         assert checks.resolve_budget(np.int64(16), 1) == 16
         assert type(checks.resolve_budget(np.int64(16), 1)) is int
         assert difunctional_all(cyclic_group(2), budget=16).holds
-        # 2^4 candidates exceed 15; the search holds after 11 closures
+        # 2^4 candidates exceed 15; the search holds after 7 closures
         assert difunctional_all(cyclic_group(2), budget=15).holds
-        assert difunctional_all(cyclic_group(2), budget=11).holds
-        res = difunctional_all(cyclic_group(2), budget=10)
+        assert difunctional_all(cyclic_group(2), budget=7).holds
+        res = difunctional_all(cyclic_group(2), budget=6)
         assert (res.verdict, res.reason) == (
-            "inconclusive", "search exhausted budget 10 closures after 4 relations"
+            "inconclusive", "search exhausted budget 6 closures after 8 tuples"
         )
 
 
@@ -477,8 +480,9 @@ LAYOUTS = {label: tuple(map(RelationClass.parse, label.split(","))) for label in
 
 
 class TestSearch:
-    """Classes the 2^k gate refuses are searched in class order, within
-    the same budget counted in closures."""
+    """A check whose class the 2^k gate refuses is decided over tuples from
+    generated least members, within the same budget counted in closures;
+    ``test_reference`` holds the oracle of its results."""
 
     @pytest.mark.parametrize("name", sorted(bundled_corpus()))
     def test_each_budget_gives_the_default_result_or_inconclusive(self, name, monkeypatch):
@@ -501,9 +505,16 @@ class TestSearch:
                 got = check(budget)
                 if got.verdict == "inconclusive":
                     assert got.reason.startswith(f"search exhausted budget {budget} closures"), label
+                elif budget < 2**k:
+                    assert got.verdict == want.verdict, (label, budget)
+                    if not searched_and_decided or got.verdict == "violated":
+                        if label in LAYOUTS:
+                            assert_searched_shifting_lemma(a, LAYOUTS[label], got)
+                        else:
+                            assert_searched_sweep(a, None, getattr(checks, label), got)
+                    searched_and_decided += 1
                 else:
                     assert (got, got.triple) == (want, want.triple), (label, budget)
-                    searched_and_decided += budget < 2 ** k
         k = n * n - n
         want = reflexive_positive_all_equivalence(a)
         for budget in [2**i for i in range(k)] + [2**k - 1]:
@@ -528,92 +539,89 @@ class TestSearch:
 
     def test_searched_relations_are_checked_once_more(self, monkeypatch):
         monkeypatch.setattr(
-            algebras, "_is_compatible_between", lambda a, b, stack: np.zeros(len(stack), dtype=bool)
+            checks, "_is_compatible_between", lambda a, b, stack: np.zeros(len(stack), dtype=bool)
         )
         with pytest.raises(RuntimeError, match="incompatible relation"):
-            difunctional_all(cyclic_group(3), budget=16)
+            difunctional_all(semilattice2(), budget=15)
 
     def test_search_between_sizes(self):
         # Z2 -> Z4 has 2^8 candidates: refused at budget 128 and searched
         corpus = bundled_corpus()
-        z2, z4 = corpus["z2"], corpus["z4"]
-        assert difunctional_all(z2, z4, budget=128) == difunctional_all(z2, z4)
-        assert goursat_identity_all(z4, z2, budget=128) == goursat_identity_all(z4, z2)
+        z2, z4, sl2 = corpus["z2"], corpus["z4"], corpus["semilattice2"]
+        for a, b in [(z2, z4), (z4, z2)]:
+            for check in (difunctional_all, goursat_identity_all):
+                assert_searched_sweep(a, b, check, check(a, b, budget=128))
+        sl4 = Algebra("semilattice4", Carrier(4), sl2.sig, {"meet": tuple(
+            min(x, y) for x in range(4) for y in range(4)
+        )})
+        verdicts = []
+        for a, b in [(sl2, sl4), (sl4, sl2)]:
+            for check in (difunctional_all, goursat_identity_all):
+                got = check(a, b, budget=128)
+                assert_searched_sweep(a, b, check, got)
+                verdicts.append(got.verdict)
+        assert verdicts == ["violated", "violated", "violated", "holds"]
 
-    @pytest.mark.parametrize("cut, sizes", [(0, []), (1, [1]), (2, [1, 1]), (3, [1, 2]), (4, [1, 2, 1])])
-    def test_read_keeps_a_block_the_budget_cuts_short(self, cut, sizes):
-        rels = enumerate_class_relations(cyclic_group(3), RelationClass.ARBITRARY)[:cut]
-
-        def stream():
-            yield from rels
-            raise BudgetError("cut")
-
-        got = []
-        with pytest.raises(BudgetError, match="cut"):
-            for block, stack in checks._read(stream(), 9):
-                assert stack.tolist() == [r.members.tolist() for r in block]
-                got.append(block)
-        assert [len(block) for block in got] == sizes
-        assert [r for block in got for r in block] == rels
-
-    def test_read_cuts_a_stream_in_doubling_blocks(self, monkeypatch):
+    def test_read_cuts_a_list_in_stack_cell_blocks(self, monkeypatch):
         rels = enumerate_class_relations(bundled_corpus()["n5_unary"], RelationClass.REFLEXIVE)
         assert len(rels) == 36
-        sizes = [len(block) for block, _ in checks._read(iter(rels), 16)]
-        assert sizes == [1, 2, 4, 8, 16, 5]
-        monkeypatch.setattr(checks, "_STREAM_BLOCK", 4)
-        sizes = [len(block) for block, _ in checks._read(iter(rels), 16)]
-        assert sizes == [1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 1]
-        # a complete list comes in blocks of _STACK_CELLS cells
         monkeypatch.setattr(algebras, "_STACK_CELLS", 160)
-        sizes = [len(block) for block, _ in checks._read(rels, 16)]
-        assert sizes == [10, 10, 10, 6]
+        got = list(checks._read(rels, 16))
+        assert [len(block) for block, _ in got] == [10, 10, 10, 6]
+        assert all(stack.tolist() == [r.members.tolist() for r in block] for block, stack in got)
 
-    def test_budget_that_produced_the_violating_t_decides(self, monkeypatch):
-        # the 25 closures produce the violating T within a doubling block
-        # that the budget cuts short
+    def test_refl_eq_refl_on_n5_unary_decides_within_43_closures(self, monkeypatch):
+        # the 16 principal closures of each class and the joins of the
+        # first block of quadruples; the least violating quadruple is
+        # (0, 1, 0, 3), while the complete lists' first triple has (0, 2, 1, 3)
         monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
         a = bundled_corpus()["n5_unary"]
         classes = RelationClass.REFLEXIVE, RelationClass.EQUIVALENCE, RelationClass.REFLEXIVE
-        got = shifting_lemma_forall(a, *classes, budget=25)
-        want = shifting_lemma_forall(a, *classes)
-        assert (got, got.triple) == (want, want.triple)
-        golden = json.loads(GOLDEN.read_text())["algebras"]["n5_unary"]["shifting_lemma"]
-        assert json.loads(json.dumps(got.to_dict())) == golden["refl,eq,refl"]
-        assert got.quadruple == (0, 2, 1, 3)
+        got = shifting_lemma_forall(a, *classes, budget=43)
+        assert got.quadruple == (0, 1, 0, 3)
+        assert_searched_shifting_lemma(a, classes, got)
+        assert shifting_lemma_forall(a, *classes).quadruple == (0, 2, 1, 3)
+        assert shifting_lemma_forall(a, *classes, budget=42).reason == (
+            "search exhausted budget 42 closures after 0 tuples"
+        )
 
     @pytest.mark.parametrize("name", sorted(bundled_corpus()))
-    def test_small_budgets_decide_as_the_default_and_as_single_reads(self, name, monkeypatch):
-        # a decided result is the default one, and reading the searched
-        # streams one relation at a time changes no result, reason included
+    def test_small_budgets_decide_as_the_default(self, name, monkeypatch):
+        # every budget that decides a searched check, one below 2^k for the
+        # k free cells of a class, gives one result, the default verdict
+        # with generated relations the oracle accepts
         monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
         a = bundled_corpus()[name]
+        n = a.size
         for label in (*SUITE_CLASS_COMBOS, "refl,any,refl"):
             classes = tuple(map(RelationClass.parse, label.split(",")))
-            want = shifting_lemma_forall(a, *classes)
-            for budget in range(1, 61):
+            k = n * n if RelationClass.ARBITRARY in classes else n * n - n
+            decided = set()
+            for budget in range(1, min(61, 2**k)):
                 got = shifting_lemma_forall(a, *classes, budget=budget)
-                with monkeypatch.context() as mp:
-                    mp.setattr(checks, "_STREAM_BLOCK", 1)
-                    single = shifting_lemma_forall(a, *classes, budget=budget)
-                assert (got, got.triple) == (single, single.triple), (label, budget)
-                if got.verdict != "inconclusive":
-                    assert (got, got.triple) == (want, want.triple), (label, budget)
+                if got.verdict == "inconclusive":
+                    assert got.reason.startswith(f"search exhausted budget {budget} closures")
+                else:
+                    decided.add((got, got.triple))
+            assert len(decided) <= 1, label
+            for got, _ in decided:
+                assert_searched_shifting_lemma(a, classes, got)
 
     @pytest.mark.parametrize("name", sorted(bundled_corpus()))
-    def test_sweeps_read_in_blocks_as_single_reads(self, name, monkeypatch):
+    def test_small_budgets_decide_sweeps_as_the_default(self, name, monkeypatch):
         monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
         a = bundled_corpus()[name]
-
-        def sweeps(budget):
-            got = [difunctional_all(a, budget=budget), goursat_identity_all(a, budget=budget)]
-            return [(r, r.triple) for r in got] + [reflexive_positive_all_equivalence(a, budget)]
-
+        budgets = range(1, min(81, 2 ** (a.size * a.size)))
+        for check in (difunctional_all, goursat_identity_all):
+            decided = {(r, r.triple) for r in (check(a, budget=b) for b in budgets)
+                       if r.verdict != "inconclusive"}
+            assert len(decided) <= 1
+            for got, _ in decided:
+                assert_searched_sweep(a, None, check, got)
+        want = reflexive_positive_all_equivalence(a)
         for budget in range(1, 81):
-            got = sweeps(budget)
-            with monkeypatch.context() as mp:
-                mp.setattr(checks, "_STREAM_BLOCK", 1)
-                assert got == sweeps(budget), budget
+            got = reflexive_positive_all_equivalence(a, budget)
+            assert got == want or got.startswith(f"inconclusive: search exhausted budget {budget}")
 
 
 class TestTermImplications:

@@ -276,10 +276,10 @@ class TestBudgetInput:
         code, doc = run(
             runner,
             ["check", "--algebra", files["z2"], "--property", "difunctional"],
-            env={"RELSHIFT_BUDGET": "8"},
+            env={"RELSHIFT_BUDGET": "6"},
         )
         assert code == 3
-        assert doc["reason"] == "search exhausted budget 8 closures after 3 relations"
+        assert doc["reason"] == "search exhausted budget 6 closures after 8 tuples"
 
 
 class TestWitness:

@@ -28,6 +28,10 @@ from relshift.relations import Relation, Carrier
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled_seed7.json"
 # the same run with RELSHIFT_BUDGET=300: some enumerations are refused
 GOLDEN_BUDGET_300 = GOLDEN.with_name("bundled_seed7_budget300.json")
+# Z5-Z8 and S3, whose reflexive and arbitrary classes the default budget
+# refuses, so that every quantified check of the suite is searched
+SEARCHED = pathlib.Path(__file__).parent / "corpus" / "searched"
+GOLDEN_SEARCHED = GOLDEN.with_name("searched_seed7.json")
 
 
 class TestBundledCorpus:
@@ -104,9 +108,9 @@ class TestSuite:
     def test_budget_reaches_term_searches(self):
         z3 = bundled_corpus()["z3"]
         rec = run_suite({"z3": z3}, budget=4)["algebras"]["z3"]
-        # the refused class is searched, and its 6 principal closures exceed 4
+        # the refused class is searched, and its 9 principal closures exceed 4
         assert rec["shifting_lemma"]["refl,refl,refl"] == {
-            "verdict": "inconclusive", "reason": "search exhausted budget 4 closures after 0 relations"
+            "verdict": "inconclusive", "reason": "search exhausted budget 4 closures after 0 tuples"
         }
         assert rec["terms"]["maltsev"]["status"] == "inconclusive"
         assert rec["terms"]["threeperm"]["status"] == "inconclusive"
@@ -184,15 +188,36 @@ class TestSuite:
         # z3 decides the reflexive classes (2^6 candidates) from their lists;
         # its arbitrary class (2^9) and every class of z4 and n5_unary (2^12
         # reflexive, 2^16 arbitrary candidates) are refused and searched
-        # within 300 closures, to the verdicts of the default budget
+        # within 300 closures, to the verdicts of the default budget; a
+        # searched violation names a generated triple, which its quadruple
+        # violates
         default, got = (json.loads(t)["algebras"] for t in (GOLDEN.read_text(), text))
+        corpus = bundled_corpus()
         for name in ("z3", "z4", "n5_unary"):
-            for check in ("shifting_lemma", "difunctional_all", "goursat_identity_all"):
-                assert got[name][check] == default[name][check]
+            for label, res in got[name]["shifting_lemma"].items():
+                assert res["verdict"] == default[name]["shifting_lemma"][label]["verdict"]
+                if res["verdict"] == "violated":
+                    c = corpus[name].carrier
+                    triple = (Relation.from_pairs(c, c, res["triple"][k]) for k in "RST")
+                    assert shifting_lemma(*triple).quadruple == tuple(res["quadruple"])
+            for check in ("difunctional_all", "goursat_identity_all"):
+                assert got[name][check]["verdict"] == default[name][check]["verdict"]
         # the E facts need every reflexive relation, so its complete list
         for name in ("z4", "n5_unary"):
             refl = "2^12 candidate relations exceed budget 300"
             assert recs[name]["ee_properties"] == f"inconclusive: {refl}"
+
+    def test_matches_golden_report_of_the_searched_corpus(self, monkeypatch):
+        # as `relshift suite --corpus tests/corpus/searched --seed 7` writes it
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        corpus = harness.load_corpus(SEARCHED)
+        assert sorted(corpus) == ["s3", "z5", "z6", "z7", "z8"]
+        for a in corpus.values():
+            with pytest.raises(BudgetError):
+                enumerate_class_relations(a, RelationClass.REFLEXIVE)
+        report = run_suite(corpus, seed=7, corpus_id="tests/corpus/searched")
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == GOLDEN_SEARCHED.read_text()
 
     def test_determinism(self, report):
         again = run_suite(bundled_corpus(), seed=7)

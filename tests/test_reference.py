@@ -28,7 +28,10 @@ the vectorized builders, the block-wise clone, the pair-graph
 congruences, the join and meet tables of the modularity test, and the
 stacked Shifting Lemma kernel behind the quantified and the single-triple
 check, the stacked compatibility test, the stacked predicates of the
-sweeps and the batched box/W replay in ``relshift``, checked on random algebras with 1-3 elements and
+sweeps and the batched box/W replay in ``relshift``; the complete class
+lists are in turn the oracle of the least members ``algebras._least``
+generates and of the checks searched over tuples from them.  All are
+checked on random algebras with 1-3 elements and
 operations of arity 0-3, on random unary algebras with 4-6 elements
 (every congruence lattice on at most 3 elements is modular), on pinned
 bundled, cyclic and seeded algebras up to the 16 elements of the
@@ -52,10 +55,9 @@ from relshift.algebras import (
     Algebra,
     Signature,
     _close_between,
-    _closed_above,
     _is_compatible_between,
     _is_modular,
-    _principal_closures,
+    _least,
     _principal_stack,
     _stack_closer,
     all_congruences,
@@ -72,7 +74,6 @@ from relshift.checks import (
     SLResult,
     _common_carrier,
     _shift_stack,
-    _subalgebras,
     difunctional_all,
     enumerate_class_relations,
     enumerate_compatible_relations,
@@ -775,53 +776,104 @@ def test_modularity_of_m3():
 LAYOUTS = {label: tuple(map(RelationClass.parse, label.split(","))) for label in SUITE_CLASS_COMBOS}
 
 
-@st.composite
-def stream_cases(draw):
-    """Two algebras A, B of one signature, with operations of arity 0-3,
-    and a base matrix A -> B: empty, with A of 2-3 elements and B of 1-3,
-    or, with A = B of 2-4 elements, the diagonal, or the diagonal and
-    random cells.  An empty base on 4 elements would allow 2^16 members."""
-    sig = draw(signatures())
-    kind = draw(st.sampled_from(["empty", "diagonal", "diagonal and cells"]))
-    sizes = st.integers(2, 3 if kind == "empty" else 4)
-    n = draw(sizes)
-    a = Algebra("random", Carrier(n), sig, {
-        op: tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
-        for op, k in sig.ops
-    })
-    if kind == "empty":
-        b = draw(algebras(sig))
-        return a, b, np.zeros((n, b.size), dtype=bool)
-    base = np.eye(n, dtype=bool)
-    if kind == "diagonal and cells":
-        base |= relations(draw, a, a).members
-    return a, a, base
-
-
 @settings(max_examples=80, deadline=None)
-@given(stream_cases())
-def test_closure_stream_matches_complete_list(case):
-    a, b, base = case
-    closures = []
-    principals = _principal_closures(a, b, base, lambda: closures.append(1))
-    assert len(closures) == np.count_nonzero(~base)
-    got = list(_closed_above(a, b, base, principals, lambda: closures.append(1)))
-    assert got == _subalgebras(a, b, base, 2 ** np.count_nonzero(~base) + 1)
-    # the first closure, of the base, and one per node at most
-    assert len(closures) <= len(principals) + 1 + len(got) * len(principals)
+@given(algebra_pairs(), st.data())
+def test_least_member_matches_brute_force(pair, data):
+    # every class on A, and ARBITRARY also from A to B
+    a, b = pair
+    for cls, target in [*((c, a) for c in RelationClass), (RelationClass.ARBITRARY, b)]:
+        m = relations(data.draw, a, target).members
+        members = naive_filter(a, target, lambda rel, c=cls, t=target: (
+            ref_is_compatible_between(a, t, rel) and in_class(c, rel)
+        ))
+        want = np.logical_and.reduce([r.members for r in members if (r.members >= m).all()])
+        assert (_least(a, target, cls, m) == want).all(), cls
+
+
+def in_class(cls: RelationClass, rel: Relation) -> bool:
+    if cls is RelationClass.ARBITRARY:
+        return True
+    if cls is RelationClass.EQUIVALENCE:
+        return is_equivalence(rel)
+    return is_reflexive(rel) and (cls is RelationClass.REFLEXIVE or is_positive(rel))
+
+
+def class_list(a: Algebra, b: Algebra, cls: RelationClass) -> list[Relation]:
+    """The complete list of ``cls``, the oracle of the searched checks."""
+    if cls is RelationClass.ARBITRARY:
+        return enumerate_compatible_relations(a, b, 1 << 40)
+    return enumerate_class_relations(a, cls, 1 << 40)
+
+
+def assert_least_member(a: Algebra, b: Algebra, cls: RelationClass, rel: Relation, pairs) -> None:
+    """``rel`` is a compatible relation of ``cls`` and the meet of the list
+    members that contain ``pairs``."""
+    gens = Relation.from_pairs(a.carrier, b.carrier, pairs).members
+    members = class_list(a, b, cls)
+    assert ref_is_compatible_between(a, b, rel) and in_class(cls, rel) and rel in members
+    above = [m.members for m in members if (m.members >= gens).all()]
+    assert (np.logical_and.reduce(above) == rel.members).all()
+
+
+def assert_searched_shifting_lemma(a: Algebra, classes, got: SLResult) -> None:
+    """A searched quantified Shifting Lemma against the complete lists: the
+    same verdict, and a violation's R', S' and T' generated from its
+    quadruple, with R' ^ S' <= T', and the quadruple replaying."""
+    want = ref_shifting_lemma_forall(a, *classes, 1 << 40)
+    assert got.verdict == want.verdict
+    if got.verdict == "violated":
+        (x, y, u, v), (r, s, t) = got.quadruple, got.triple
+        assert_least_member(a, a, classes[0], r, [(x, y), (u, v)])
+        assert_least_member(a, a, classes[1], s, [(x, u), (y, v)])
+        assert_least_member(a, a, classes[2], t, [*meet(r, s).pairs(), (x, y)])
+        assert leq(meet(r, s), t)
+        assert ref_shifting_lemma(r, s, t) == SLResult("violated", quadruple=got.quadruple)
+
+
+def first_failing_generators(check, d: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs of the least tuple at which the matrix ``d`` fails the
+    sweep ``check``, in the search's tuple order."""
+    na, nb = d.shape
+    if check is difunctional_all:
+        for x, y, u, v in itertools.product(range(na), range(na), range(nb), range(nb)):
+            if d[x, u] and d[y, u] and d[y, v] and not d[x, v]:
+                return [(x, u), (y, u), (y, v)]
+    if check is goursat_identity_all:
+        for x, y, z, p, q in itertools.product(*(range(nb),) * 3, *(range(na),) * 2):
+            if d[p, x] and d[p, y] and d[q, y] and d[q, z] and not (d[:, x] & d[:, z]).any():
+                return [(p, x), (p, y), (q, y), (q, z)]
+    for x, y, z in itertools.product(range(na), repeat=3):
+        if d[x, y] and d[y, z] and not d[x, z]:
+            return [(x, y), (y, z)]
+    raise AssertionError("the relation does not fail the sweep")
+
+
+def assert_searched_sweep(a: Algebra, b: Algebra | None, check, got: SLResult) -> None:
+    """A searched sweep against its complete list: the same verdict, and a
+    violation's D generated from the least tuple at which it fails."""
+    want = check(a, b, 1 << 40)
+    assert got.verdict == want.verdict
+    if got.verdict == "violated":
+        d = got.triple[0]
+        assert got.triple == (d, d, d) and got.reason == want.reason
+        b = a if b is None else b
+        assert_least_member(a, b, RelationClass.ARBITRARY, d, first_failing_generators(check, d.members))
+
+
+def assert_searched_tolerances(a: Algebra, got: bool | str) -> None:
+    """A searched ``reflexive_positive_all_equivalence`` against its list."""
+    assert got == reflexive_positive_all_equivalence(a, 1 << 40)
 
 
 def refuse_every_list(a, b, base, budget):
     raise BudgetError("refused")
 
 
-def assert_search_matches_complete_lists(a, classes):
-    # every class but EQUIVALENCE is refused, so it is searched
+def searched(f, *args):
+    """``f(*args)`` with every list but the congruences refused, so searched."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks_module, "_subalgebras", refuse_every_list)
-        got = shifting_lemma_forall(a, *classes, 1 << 40)
-    want = shifting_lemma_forall(a, *classes)
-    assert (got, got.triple) == (want, want.triple)
+        return f(*args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -832,13 +884,32 @@ def test_searched_shifting_lemma_matches_complete_lists(a):
     for classes in [*LAYOUTS.values(), *arbitrary, LAYOUTS["refl,refl,refl"][:1] + (
         RelationClass.REFLEXIVE_POSITIVE, RelationClass.EQUIVALENCE
     )]:
-        assert_search_matches_complete_lists(a, classes)
+        assert_searched_shifting_lemma(a, classes, searched(shifting_lemma_forall, a, *classes, 1 << 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_pairs())
+def test_searched_sweeps_match_complete_lists(pair):
+    a, b = pair
+    for check in (difunctional_all, goursat_identity_all):
+        assert_searched_sweep(a, None, check, searched(check, a, None, 1 << 40))
+        assert_searched_sweep(a, b, check, searched(check, a, b, 1 << 40))
+    assert_searched_tolerances(a, searched(reflexive_positive_all_equivalence, a, 1 << 40))
 
 
 @pytest.mark.parametrize("name", ["z4", "n5_unary"])
 @pytest.mark.parametrize("label", ["any,any,any", "refl,any,refl", "any,refl,eq"])
 def test_searched_shifting_lemma_matches_complete_lists_on_bundled(corpus, name, label):
-    assert_search_matches_complete_lists(corpus[name], tuple(map(RelationClass.parse, label.split(","))))
+    a, classes = corpus[name], tuple(map(RelationClass.parse, label.split(",")))
+    assert_searched_shifting_lemma(a, classes, searched(shifting_lemma_forall, a, *classes, 1 << 40))
+
+
+@pytest.mark.parametrize("name", sorted(bundled_corpus()))
+def test_searched_sweeps_match_complete_lists_on_bundled(corpus, name):
+    a = corpus[name]
+    for check in (difunctional_all, goursat_identity_all):
+        assert_searched_sweep(a, None, check, searched(check, a, None, 1 << 40))
+    assert_searched_tolerances(a, searched(reflexive_positive_all_equivalence, a, 1 << 40))
 
 
 MIXED_CASES = [
@@ -853,26 +924,26 @@ MIXED_CASES = [
 
 
 @pytest.mark.parametrize("name, label, budget", MIXED_CASES)
-def test_mixed_classes_search_only_the_refused_one(corpus, name, label, budget):
+def test_mixed_classes_are_searched_whole(corpus, name, label, budget):
     # the budget admits the reflexive list and refuses the arbitrary one,
-    # whose stream alone stays within it
+    # so the whole check is searched, within the budget: semilattice2 and
+    # set2 need 16 closures, z2 13 and the 4-element algebras 45 to 89
     a, classes = corpus[name], tuple(map(RelationClass.parse, label.split(",")))
     with pytest.raises(BudgetError):
         enumerate_compatible_relations(a, budget=budget)
     enumerate_class_relations(a, RelationClass.REFLEXIVE, budget)
     got = shifting_lemma_forall(a, *classes, budget)
-    want = shifting_lemma_forall(a, *classes)
-    assert (got.verdict, got.quadruple, got.triple) == (want.verdict, want.quadruple, want.triple)
+    if name in ("semilattice2", "set2") or budget == 12:
+        assert got.reason.startswith(f"search exhausted budget {budget} closures after ")
+    else:
+        assert_searched_shifting_lemma(a, classes, got)
 
 
 def test_unary_cycle_violates_the_reflexive_shifting_lemma():
     # 2^20 candidates are refused; the search stops at the first violation
     u5 = Algebra("u5", Carrier(5), Signature((("f", 1),)), {"f": (1, 2, 3, 4, 0)})
     refl = (RelationClass.REFLEXIVE,) * 3
-    got = shifting_lemma_forall(u5, *refl)
-    assert got.verdict == "violated"
-    assert ref_shifting_lemma(*got.triple) == SLResult("violated", quadruple=got.quadruple)
-    assert (got, got.triple) == (lambda w: (w, w.triple))(ref_shifting_lemma_forall(u5, *refl, 1 << 40))
+    assert_searched_shifting_lemma(u5, refl, shifting_lemma_forall(u5, *refl))
 
 
 def assert_forall_matches_reference(a, classes):
