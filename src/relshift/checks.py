@@ -369,10 +369,10 @@ class _TupleSearch:
     block of tuples at a time, where the 2^k gate refuses a list: each
     tuple's violation holds of some relation of the class iff it holds of
     the least members generated from the tuple's pairs (see _Generated,
-    one per class of the check).  The closures of every class share one budget, the
-    resolved enumeration budget; the closure past it raises BudgetError,
-    naming the budget and the tuples decided, and the check is
-    "inconclusive"."""
+    one per class of the check).  The closures of every class share one
+    budget, the resolved enumeration budget; the closure past it raises
+    BudgetError, naming the budget and the tuples decided, and the check
+    is "inconclusive"."""
 
     def __init__(self, a: Algebra, b: Algebra | None, budget: int | None):
         self.a, self.b = a, a if b is None else b
