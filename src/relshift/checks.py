@@ -42,6 +42,7 @@ from .algebras import (
 from .relations import (
     Relation,
     ShapeError,
+    _commuting_stack,
     _difunctional_stack,
     _equivalence_stack,
     _goursat_stack,
@@ -438,7 +439,7 @@ def _difunctional_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray
 
 def _goursat_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(x, y, z, p, q), a block per (x, y): with D' = <(p,x), (p,y), (q,y),
-    (q,z)>, x and z must share a preimage in D', or D-op D, the relation
+    (q,z)>, x and z must share a preimage in D', or D D-op, the relation
     that ``relations._goursat_stack`` squares, is not transitive.  Yields
     each block's members D' and where they fail."""
     na, nb = d.cell.shape
@@ -447,6 +448,19 @@ def _goursat_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         ids = d.joined(d.joined(d.cell[p, x], d.cell[p, y]), d.joined(d.cell[q, y], d.cell[q, z]))
         stack = d.stacked()
         yield ids, ~(stack[ids, :, x] & stack[ids, :, z]).any(-1)
+
+
+def _commuting_tuples(e: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(x, y, m), a block per x: x and y share the image m in E' = <(x,m),
+    (y,m)>, so they must share a preimage, or E-op E is not below E E-op;
+    over a class closed under opposite this also decides the other
+    inclusion.  Yields each block's members E' and where they fail."""
+    n = e.cell.shape[0]
+    y, m = np.ogrid[:n, :n]
+    for x in range(n):
+        ids = e.joined(e.cell[x, m], e.cell[y, m])
+        stack = e.stacked()
+        yield ids, ~(stack[ids, :, x] & stack[ids, :, y]).any(-1)
 
 
 def _tolerance_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -579,32 +593,40 @@ def goursat_identity_all(
     )
 
 
+def _fact(got: SLResult) -> bool | str:
+    """A sweep's outcome as True, False or "inconclusive: …"."""
+    return f"inconclusive: {got.reason}" if got.verdict == "inconclusive" else got.holds
+
+
 def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) -> bool | str:
     """Whether every reflexive positive compatible relation on A is an
     equivalence, or "inconclusive: …" when the search of a list the budget
     refuses exhausts that budget in closures."""
-    got = _sweep(
+    return _fact(_sweep(
         a, None, RelationClass.REFLEXIVE_POSITIVE, budget,
         _equivalence_stack, _tolerance_tuples, "not an equivalence",
-    )
-    return f"inconclusive: {got.reason}" if got.verdict == "inconclusive" else got.holds
+    ))
 
 
-def ee_properties(a: Algebra, e: Relation, *, sweep: bool | str | None = None) -> dict:
+def _ee_sweeps(a: Algebra, budget: int | None = None) -> dict[str, SLResult]:
+    """The facts of ``ee_properties`` that depend on E, by _sweep for every
+    reflexive compatible E on A.  E E-op is reflexive and symmetric, so it
+    is an equivalence iff it is transitive: the Goursat identity of E."""
+    return {key: _sweep(a, None, RelationClass.REFLEXIVE, budget, *how) for key, *how in (
+        ("ee_op_is_equivalence", _goursat_stack, _goursat_tuples, "E E-op not transitive"),
+        ("ee_op_equals_op_ee", _commuting_stack, _commuting_tuples, "E E-op is not E-op E"),
+    )}
+
+
+def ee_properties(a: Algebra, e: Relation) -> dict:
     """Symmetrization facts for one reflexive compatible E, plus whether
-    every reflexive positive compatible relation on A is an equivalence.
-
-    The last fact does not depend on E; ``sweep``, when given, is its value
-    and is not computed again; otherwise it is
-    ``reflexive_positive_all_equivalence(a)`` under the default budget.
-    """
+    every reflexive positive compatible relation on A is an equivalence,
+    ``reflexive_positive_all_equivalence(a)`` under the default budget."""
     _require_reflexive_compatible(a, e)
     ee_op = compose(e, opposite(e))
     op_ee = compose(opposite(e), e)
     return {
         "ee_op_is_equivalence": is_equivalence(ee_op),
         "ee_op_equals_op_ee": ee_op == op_ee,
-        "reflexive_positive_all_equivalence": (
-            reflexive_positive_all_equivalence(a) if sweep is None else sweep
-        ),
+        "reflexive_positive_all_equivalence": reflexive_positive_all_equivalence(a),
     }

@@ -40,6 +40,8 @@ from .algebras import (
 from .checks import (
     BudgetError,
     RelationClass,
+    _ee_sweeps,
+    _fact,
     _shared_classes,
     difunctional_all,
     ee_properties,
@@ -78,7 +80,7 @@ SUITE_CLASS_COMBOS: tuple[str, ...] = (
 
 
 class ConsistencyError(RuntimeError):
-    """A term condition was found but a check it implies was violated."""
+    """A found term condition is contradicted, or a counterexample does not replay."""
 
 
 def load_corpus(directory: Traversable) -> dict[str, Algebra]:
@@ -194,28 +196,28 @@ def _algebra_record(a: Algebra, budget: int | None) -> dict:
     rec["permutability"] = perm_table
     rec["join_via_rsr_matches"] = join_ok
 
-    try:
-        refl = enumerate_class_relations(a, RelationClass.REFLEXIVE, budget)
-    except BudgetError as err:
-        rec["ee_properties"] = f"inconclusive: {err}"
-        refl, ee_all = [], []
-    else:
-        sweep = reflexive_positive_all_equivalence(a, budget)
-        ee_all = [ee_properties(a, e, sweep=sweep) for e in refl]
-        rec["ee_properties"] = {
-            "all_ee_op_equivalence": all(r["ee_op_is_equivalence"] for r in ee_all),
-            "all_ee_op_equals_op_ee": all(r["ee_op_equals_op_ee"] for r in ee_all),
-            "reflexive_positive_all_equivalence": sweep,
-        }
+    ee = _ee_sweeps(a, budget)
+    for key, got in ee.items():  # each counterexample replays on its own E
+        if got.verdict == "violated" and ee_properties(a, got.triple[0])[key]:
+            raise ConsistencyError(f"{a.name}: {key} holds of its counterexample")
+    rec["ee_properties"] = {
+        "all_ee_op_equivalence": _fact(ee["ee_op_is_equivalence"]),
+        "all_ee_op_equals_op_ee": _fact(ee["ee_op_equals_op_ee"]),
+        "reflexive_positive_all_equivalence": reflexive_positive_all_equivalence(a, budget),
+    }
 
     # witness constructions where the predicates fail
+    try:
+        refl = enumerate_class_relations(a, RelationClass.REFLEXIVE, budget)
+    except BudgetError:
+        refl = []
     rec["witnesses"] = {}
     non_sym = next((e for e in refl if not is_symmetric(e)), None)
     if non_sym is not None:
         rec["witnesses"]["maltsev"] = _witness_record(a, "maltsev", non_sym)
-    gap = next((e for e, p in zip(refl, ee_all) if not p["ee_op_equals_op_ee"]), None)
-    if gap is not None:
-        rec["witnesses"]["goursat"] = _witness_record(a, "goursat", gap)
+    commute = ee["ee_op_equals_op_ee"]
+    if commute.verdict == "violated":
+        rec["witnesses"]["goursat"] = _witness_record(a, "goursat", commute.triple[0])
 
     # box/W supremum replay, meaningful only where the 3-perm terms exist:
     # every (R, T) pair of congruences at once, for each reflexive S
@@ -238,12 +240,7 @@ def _check_consistency(name: str, rec: dict) -> None:
                 problems.append(f"shifting_lemma[{key}]")
         if rec["goursat_identity_all"]["verdict"] == "violated":
             problems.append("goursat_identity_all")
-        ee = rec["ee_properties"]
-        if isinstance(ee, dict) and not (
-            ee["all_ee_op_equivalence"]
-            and ee["all_ee_op_equals_op_ee"]
-            and ee["reflexive_positive_all_equivalence"] is True
-        ):
+        if any(v is False for v in rec["ee_properties"].values()):
             problems.append("ee_properties")
     if rec["terms"]["maltsev"]["status"] == "found":
         if rec["shifting_lemma"]["refl,refl,refl"]["verdict"] == "violated":

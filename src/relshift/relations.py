@@ -262,6 +262,12 @@ def _goursat_stack(d: np.ndarray) -> np.ndarray:
     return ((gf @ gf > 0) == g).all((1, 2))
 
 
+def _commuting_stack(e: np.ndarray) -> np.ndarray:
+    """Whether E E-op = E-op E for each matrix E of the stack (K, n, n)."""
+    f = e.astype(np.float32)
+    return ((f.swapaxes(1, 2) @ f > 0) == (f @ f.swapaxes(1, 2) > 0)).all((1, 2))
+
+
 def is_positive(p: Relation) -> bool:
     """True iff P = U-op U for some relation U.
 

@@ -424,14 +424,6 @@ class TestCharacterizationScans:
         assert rec["ee_op_is_equivalence"]
         assert rec["ee_op_equals_op_ee"]
 
-    def test_ee_properties_reuses_given_sweep(self, monkeypatch):
-        a = semilattice2()
-        sweep = reflexive_positive_all_equivalence(a)
-        assert ee_properties(a, order2(a))["reflexive_positive_all_equivalence"] == sweep
-        monkeypatch.setattr(checks, "enumerate_class_relations", None)  # not called again
-        rec = ee_properties(a, order2(a), sweep=sweep)
-        assert rec["reflexive_positive_all_equivalence"] == sweep
-
 
 class TestExplicitBudget:
     @pytest.mark.parametrize("budget", [0, -1, True, False, 2.5, 16.0, "16"])

@@ -184,7 +184,6 @@ class TestSuite:
         report = run_suite(bundled_corpus(), seed=7)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert text == GOLDEN_BUDGET_300.read_text()
-        recs = report["algebras"]
         # z3 decides the reflexive classes (2^6 candidates) from their lists;
         # its arbitrary class (2^9) and every class of z4 and n5_unary (2^12
         # reflexive, 2^16 arbitrary candidates) are refused and searched
@@ -202,10 +201,8 @@ class TestSuite:
                     assert shifting_lemma(*triple).quadruple == tuple(res["quadruple"])
             for check in ("difunctional_all", "goursat_identity_all"):
                 assert got[name][check]["verdict"] == default[name][check]["verdict"]
-        # the E facts need every reflexive relation, so its complete list
-        for name in ("z4", "n5_unary"):
-            refl = "2^12 candidate relations exceed budget 300"
-            assert recs[name]["ee_properties"] == f"inconclusive: {refl}"
+            # the E facts are searched over the reflexive class too
+            assert got[name]["ee_properties"] == default[name]["ee_properties"]
 
     def test_matches_golden_report_of_the_searched_corpus(self, monkeypatch):
         # as `relshift suite --corpus tests/corpus/searched --seed 7` writes it
@@ -246,6 +243,30 @@ class TestSuite:
         # reflpos,refl,reflpos check and the sweep read them off the one
         # reflexive (diagonal base) enumeration; the other is the arbitrary one
         assert [b.sum() for b in bases] == [3, 0] and bases[0].diagonal().all()
+
+    def test_ee_properties_replays_only_counterexamples(self, monkeypatch):
+        calls = []
+        real = harness.ee_properties
+
+        def counted(a, e):
+            calls.append((a.name, e.pairs()))
+            return real(a, e)
+
+        monkeypatch.setattr(harness, "ee_properties", counted)
+        corpus = bundled_corpus()
+        recs = run_suite({n: corpus[n] for n in ("n5_unary", "z4")})["algebras"]
+        # z4 has no counterexample; n5_unary one per E fact, the commuting
+        # one also the Goursat seed
+        goursat = recs["n5_unary"]["witnesses"]["goursat"]["E"]
+        assert len(calls) == 2 and ("n5_unary", [tuple(p) for p in goursat]) in calls
+        assert "error" not in recs["z4"]
+
+    def test_a_counterexample_that_does_not_replay_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(harness, "ee_properties", lambda a, e: dict.fromkeys(
+            ("ee_op_is_equivalence", "ee_op_equals_op_ee"), True
+        ))
+        with pytest.raises(ConsistencyError, match=r"^n5_unary: ee_op_is_equivalence holds of"):
+            run_suite({"n5_unary": bundled_corpus()["n5_unary"]})
 
     def test_one_compatibility_recheck_per_list_and_one_box_join_per_s(self, monkeypatch):
         # the kept relations of each enumeration are re-checked in one
@@ -377,9 +398,10 @@ class TestConsistency:
         set_path(rec, path, VIOLATED)
         _check_consistency("z3", rec)
 
-    def test_refused_ee_sweep_and_absent_terms_bind_nothing(self):
+    def test_inconclusive_ee_facts_and_absent_terms_bind_nothing(self):
         rec = consistent_record()
-        rec["ee_properties"] = "inconclusive: 2^12 candidate relations exceed budget 300"
+        for key in rec["ee_properties"]:
+            rec["ee_properties"][key] = "inconclusive: search exhausted budget 300 closures after 0 tuples"
         _check_consistency("z3", rec)
         for key in ("maltsev", "threeperm"):
             rec["terms"][key]["status"] = "inconclusive"

@@ -73,6 +73,7 @@ from relshift.checks import (
     RelationClass,
     SLResult,
     _common_carrier,
+    _ee_sweeps,
     _shift_stack,
     difunctional_all,
     enumerate_class_relations,
@@ -97,6 +98,7 @@ from relshift.harness import SUITE_CLASS_COMBOS, _box_join, bundled_corpus
 from relshift.relations import (
     Carrier,
     Relation,
+    _commuting_stack,
     _difunctional_stack,
     _equivalence_stack,
     _goursat_stack,
@@ -838,10 +840,14 @@ def first_failing_generators(check, d: np.ndarray) -> list[tuple[int, int]]:
         for x, y, u, v in itertools.product(range(na), range(na), range(nb), range(nb)):
             if d[x, u] and d[y, u] and d[y, v] and not d[x, v]:
                 return [(x, u), (y, u), (y, v)]
-    if check is goursat_identity_all:
+    if check in (goursat_identity_all, "ee_op_is_equivalence"):
         for x, y, z, p, q in itertools.product(*(range(nb),) * 3, *(range(na),) * 2):
             if d[p, x] and d[p, y] and d[q, y] and d[q, z] and not (d[:, x] & d[:, z]).any():
                 return [(p, x), (p, y), (q, y), (q, z)]
+    if check == "ee_op_equals_op_ee":
+        for x, y, m in itertools.product(range(na), repeat=3):
+            if d[x, m] and d[y, m] and not (d[:, x] & d[:, y]).any():
+                return [(x, m), (y, m)]
     for x, y, z in itertools.product(range(na), repeat=3):
         if d[x, y] and d[y, z] and not d[x, z]:
             return [(x, y), (y, z)]
@@ -910,6 +916,64 @@ def test_searched_sweeps_match_complete_lists_on_bundled(corpus, name):
     for check in (difunctional_all, goursat_identity_all):
         assert_searched_sweep(a, None, check, searched(check, a, None, 1 << 40))
     assert_searched_tolerances(a, searched(reflexive_positive_all_equivalence, a, 1 << 40))
+
+
+# Each E fact of ``_ee_sweeps`` of one reflexive E, as the suite wrote it
+# before: the two symmetrizations formed with ``compose``.
+REF_EE = {
+    "ee_op_is_equivalence": lambda e: ref_is_equivalence(compose(e, opposite(e))),
+    "ee_op_equals_op_ee": lambda e: ref_commutes(e),
+}
+
+
+def assert_ee_sweeps_match_reference(a: Algebra) -> None:
+    """Both E facts, decided from the complete reflexive list and searched,
+    against ``REF_EE`` on every member of the list: the list reports the
+    first E that fails, and the search an E generated from the least tuple
+    at which it fails.  The search runs under a budget one short of the
+    list's 2^k candidates; on 2 elements that leaves 3 closures, so the
+    list is refused instead."""
+    refl = class_list(a, a, RelationClass.REFLEXIVE)
+    refused = 2 ** (a.size * a.size - a.size) - 1
+    listed = _ee_sweeps(a)
+    if a.size > 2:
+        with pytest.raises(BudgetError):
+            enumerate_class_relations(a, RelationClass.REFLEXIVE, refused)
+        got = _ee_sweeps(a, refused)
+    else:
+        got = searched(_ee_sweeps, a, 1 << 40)
+    for key, holds in REF_EE.items():
+        e = ref_first_failing(refl, holds)
+        assert (listed[key].verdict, listed[key].triple) == (
+            ("holds", None) if e is None else ("violated", (e, e, e))
+        )
+        assert got[key].verdict == listed[key].verdict
+        if got[key].verdict == "violated":
+            e = got[key].triple[0]
+            assert got[key].triple == (e, e, e) and got[key].reason == listed[key].reason
+            assert_least_member(a, a, RelationClass.REFLEXIVE, e, first_failing_generators(key, e.members))
+            assert not holds(e)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_corpus()))
+def test_ee_sweeps_match_reference_on_bundled(corpus, name):
+    assert_ee_sweeps_match_reference(corpus[name])
+
+
+@pytest.mark.parametrize("arities", [(1,), (1, 1), (2,)])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_ee_sweeps_match_reference(n, arities, seed):
+    assert_ee_sweeps_match_reference(seeded_algebra(n, arities, seed))
+
+
+def test_ee_facts_differ_on_the_unary_four_cycle():
+    # E E-op fails to be transitive for some E, yet commutes with E-op E
+    # for every E: neither fact stands in for the other
+    u4 = Algebra("u4", Carrier(4), Signature((("f", 1),)), {"f": (1, 2, 3, 0)})
+    assert_ee_sweeps_match_reference(u4)
+    got = _ee_sweeps(u4, 4095)
+    assert [got[k].verdict for k in REF_EE] == ["violated", "holds"]
 
 
 MIXED_CASES = [
@@ -1210,6 +1274,10 @@ def ref_goursat_identity(d: Relation) -> bool:
     return compose(dd, dd) == dd
 
 
+def ref_commutes(e: Relation) -> bool:
+    return compose(e, opposite(e)) == compose(opposite(e), e)
+
+
 def ref_box_join(p, r: Relation, t: Relation) -> bool:
     box = build_box(r, p)
     w = build_W(t, r, p)
@@ -1267,6 +1335,7 @@ def test_stacked_predicates_match_reference(stacks):
     assert _equivalence_stack(stack_of(square)).tolist() == want
     assert [is_equivalence(r) for r in square] == want
     assert all(want[len(want) // 2:])
+    assert _commuting_stack(stack_of(square)).tolist() == [ref_commutes(e) for e in square]
 
 
 def ref_first_failing(rels, holds):
