@@ -14,6 +14,10 @@ single relation or triple is a stack of one.  A check whose list the
 3 to 5 elements: every violation shrinks to the least class members
 that hold its tuple's pairs, generated by ``algebras._least`` with their
 closures counted against the same budget.
+
+Each sweep is one ``_Sweep`` declaration, searched by the one loop
+``_swept``; it and ``_shifting_tuples`` take their blocks of tuples from
+``_tuple_blocks``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -275,13 +279,20 @@ def enumerate_compatible_relations(
     return _class_list(a, a if b is None else b, RelationClass.ARBITRARY, budget)
 
 
+def _class(cls: RelationClass) -> RelationClass:
+    """``cls``, refused with its name unless it is a RelationClass."""
+    if not isinstance(cls, RelationClass):
+        raise ValueError(f"not a RelationClass: {cls!r}")
+    return cls
+
+
 def enumerate_class_relations(
     a: Algebra, cls: RelationClass, budget: int | None = None
 ) -> list[Relation]:
     """All compatible relations on A in the given class, lexicographic.
     REFLEXIVE_POSITIVE is not enumerated: it is the positive members of
     the REFLEXIVE list, in the same order."""
-    if cls is RelationClass.REFLEXIVE_POSITIVE:
+    if _class(cls) is RelationClass.REFLEXIVE_POSITIVE:
         return [r for r in _class_list(a, a, RelationClass.REFLEXIVE, budget) if is_positive(r)]
     return _class_list(a, a, cls, budget)
 
@@ -347,8 +358,13 @@ class _Generated:
             self.joins[key] = self.least(self.mats[i] | self.mats[j])
         return self.joins[key]
 
-    def joined(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return _pairwise(self.join, i, j)
+    def joined(self, *ids: np.ndarray) -> np.ndarray:
+        """The joins of the members numbered by the broadcast arrays
+        ``ids``, in a balanced tree: ((i0 v i1) v (i2 v i3))."""
+        while len(ids) > 1:
+            ids = [_pairwise(self.join, *ids[k:k + 2]) if k + 1 < len(ids) else ids[k]
+                   for k in range(0, len(ids), 2)]
+        return ids[0]
 
     def stacked(self) -> np.ndarray:
         """Every member so far as one stack, indexed by number."""
@@ -402,6 +418,16 @@ class _TupleSearch:
             return SLResult("inconclusive", reason=str(e))
 
 
+def _tuple_blocks(sizes: tuple[int, ...]) -> Iterator[tuple]:
+    """The tuples with ``sizes[i]`` values of variable i, in lexicographic
+    order, a block per value of all but the last three variables (at least
+    one): the leading variables as ints, the rest as ``np.ogrid`` arrays."""
+    lead = max(1, len(sizes) - 3)
+    grid = np.ogrid[tuple(slice(n) for n in sizes[lead:])]
+    for head in itertools.product(*map(range, sizes[:lead])):
+        yield (*head, *grid)
+
+
 def _shifting_tuples(
     search: _TupleSearch, class_r: RelationClass, class_s: RelationClass, class_t: RelationClass
 ) -> SLResult:
@@ -413,9 +439,7 @@ def _shifting_tuples(
     also the least one of its own triple (R', S', T')."""
     classes = {c: _Generated(search, c) for c in dict.fromkeys((class_r, class_s, class_t))}
     gr, gs, gt = classes[class_r], classes[class_s], classes[class_t]
-    n = search.a.size
-    y, u, v = np.ogrid[:n, :n, :n]
-    for x in range(n):
+    for x, y, u, v in _tuple_blocks((search.a.size,) * 4):
         r = gr.joined(gr.cell[x, y], gr.cell[u, v])
         s = gs.joined(gs.cell[x, u], gs.cell[y, v])
         meets = _pairwise(lambda i, j: gt.least(gr.mats[i] & gs.mats[j]), r, s)
@@ -427,62 +451,87 @@ def _shifting_tuples(
     return SLResult("holds")
 
 
-def _difunctional_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(x, y, u, v), a block per x: D' = <(x,u), (y,u), (y,v)> must hold
-    (x, v).  Yields each block's members D' and where they fail."""
-    na, nb = d.cell.shape
-    y, u, v = np.ogrid[:na, :nb, :nb]
-    for x in range(na):
-        ids = d.joined(d.joined(d.cell[x, u], d.cell[y, u]), d.cell[y, v])
-        yield ids, ~d.stacked()[ids, x, v]
+_LOCAL = {
+    "holds": lambda stack, ids, i, j: stack[ids, i, j],
+    "preimage": lambda stack, ids, i, j: (stack[ids, :, i] & stack[ids, :, j]).any(-1),
+}
 
 
-def _goursat_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(x, y, z, p, q), a block per (x, y): with D' = <(p,x), (p,y), (q,y),
-    (q,z)>, x and z must share a preimage in D', or D D-op, the relation
-    that ``relations._goursat_stack`` squares, is not transitive.  Yields
-    each block's members D' and where they fail."""
-    na, nb = d.cell.shape
-    z, p, q = np.ogrid[:nb, :na, :na]
-    for x, y in itertools.product(range(nb), repeat=2):
-        ids = d.joined(d.joined(d.cell[p, x], d.cell[p, y]), d.joined(d.cell[q, y], d.cell[q, z]))
-        stack = d.stacked()
-        yield ids, ~(stack[ids, :, x] & stack[ids, :, z]).any(-1)
+@dataclass(frozen=True)
+class _Sweep:
+    """A fact of every compatible D: A -> B (B = A but for ARBITRARY) of
+    ``cls``.  The stacked ``predicate`` (see
+    ``relations._equivalence_stack``) decides a complete list, and a
+    failing D is reported as (D, D, D) with ``reason``.  Where the gate
+    refuses the list, the fact is searched over the tuples of the
+    variables ``names``, each ranging over the side of A x B that
+    ``sides`` gives: the fact fails iff some tuple's D', the least member
+    above the ``cells`` (pairs of variables, A's first), fails the local
+    ``test`` at a pair (i, j) of variables: "holds ij", D' holds (i, j),
+    or "preimage ij", i and j share a preimage in D' (see ``_LOCAL``)."""
+
+    cls: RelationClass
+    predicate: Callable[[np.ndarray], np.ndarray]
+    reason: str
+    names: str
+    sides: str
+    cells: str
+    test: str
 
 
-def _commuting_tuples(e: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(x, y, m), a block per x: x and y share the image m in E' = <(x,m),
-    (y,m)>, so they must share a preimage, or E-op E is not below E E-op;
-    over a class closed under opposite this also decides the other
-    inclusion.  Yields each block's members E' and where they fail."""
-    n = e.cell.shape[0]
-    y, m = np.ogrid[:n, :n]
-    for x in range(n):
-        ids = e.joined(e.cell[x, m], e.cell[y, m])
-        stack = e.stacked()
-        yield ids, ~(stack[ids, :, x] & stack[ids, :, y]).any(-1)
+# D D-op D = D needs D' = <(x,u), (y,u), (y,v)> to hold (x, v).  The
+# Goursat identity says D D-op, which ``relations._goursat_stack``
+# squares, is transitive, so x and z share a preimage in D' = <(p,x),
+# (p,y), (q,y), (q,z)>.  A tolerance <(x,y), (y,z)> must hold (x, z).
+_DIFUNCTIONAL = _Sweep(RelationClass.ARBITRARY, _difunctional_stack, "not difunctional",
+                       "xyuv", "AABB", "xu yu yv", "holds xv")
+_GOURSAT = _Sweep(RelationClass.ARBITRARY, _goursat_stack, "identity fails",
+                  "xyzpq", "BBBAA", "px py qy qz", "preimage xz")
+_TOLERANCES = _Sweep(RelationClass.REFLEXIVE_POSITIVE, _equivalence_stack, "not an equivalence",
+                     "xyz", "AAA", "xy yz", "holds xz")
+# The E facts, for every reflexive compatible E.  E E-op is reflexive and
+# symmetric, so an equivalence iff transitive: E's Goursat identity.  x and
+# y share an image in E' = <(x,m), (y,m)>, so a preimage if E-op E <= E E-op;
+# REFLEXIVE is closed under opposite, so this decides the other inclusion.
+_EE_SWEEPS = {
+    "ee_op_is_equivalence": replace(_GOURSAT, cls=RelationClass.REFLEXIVE,
+                                    reason="E E-op not transitive"),
+    "ee_op_equals_op_ee": _Sweep(RelationClass.REFLEXIVE, _commuting_stack, "E E-op is not E-op E",
+                                 "xym", "AAA", "xm ym", "preimage xy"),
+}
 
 
-def _tolerance_tuples(d: _Generated) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(x, y, z), a block per x: the tolerance <(x,y), (y,z)> must hold
-    (x, z), or it is not transitive.  Yields each block's members and
-    where they fail."""
-    n = d.cell.shape[0]
-    y, z = np.ogrid[:n, :n]
-    for x in range(n):
-        ids = d.joined(d.cell[x, y], d.cell[y, z])
-        yield ids, ~d.stacked()[ids, x, z]
-
-
-def _swept(search: _TupleSearch, cls: RelationClass, tuples: Callable, reason: str) -> SLResult:
-    """A sweep's ``tuples`` over the members of ``cls`` that ``search``
-    generates; the first failing member is reported as (D, D, D)."""
-    d = _Generated(search, cls)
-    for ids, bad in tuples(d):
-        k = search.first(bad)
+def _swept(search: _TupleSearch, sweep: _Sweep) -> SLResult:
+    """``sweep`` over the members of its class that ``search`` generates, a
+    ``_tuple_blocks`` block at a time: a tuple's D' joins its cells'
+    principal members, and the first D' to fail the local test is (D', D', D')."""
+    d = _Generated(search, sweep.cls)
+    cells = [tuple(map(sweep.names.index, cell)) for cell in sweep.cells.split()]
+    kind, pair = sweep.test.split()
+    i, j = map(sweep.names.index, pair)
+    for t in _tuple_blocks(tuple(d.cell.shape["AB".index(side)] for side in sweep.sides)):
+        ids = d.joined(*(d.cell[t[p], t[q]] for p, q in cells))
+        k = search.first(~_LOCAL[kind](d.stacked(), ids, t[i], t[j]))
         if k is not None:
             rel = d.relation(ids[k])
-            return SLResult("violated", triple=(rel, rel, rel), reason=reason)
+            return SLResult("violated", triple=(rel, rel, rel), reason=sweep.reason)
+    return SLResult("holds")
+
+
+def _sweep(a: Algebra, b: Algebra | None, sweep: _Sweep, budget: int | None) -> SLResult:
+    """Whether ``sweep`` holds of every compatible D: A -> B (B = A when
+    None) of its class, in its list's ``_read`` blocks, or by ``_swept``
+    when the gate refuses the list: a search past the budget is
+    "inconclusive"."""
+    try:
+        rels = _listed(a, b, sweep.cls, budget)
+    except BudgetError:
+        return _TupleSearch(a, b, budget).decide(_swept, sweep)
+    for block, stack in _read(rels, rels[0].members.size):
+        ok = sweep.predicate(stack)
+        if not ok.all():
+            d = block[int(ok.argmin())]
+            return SLResult("violated", triple=(d, d, d), reason=sweep.reason)
     return SLResult("holds")
 
 
@@ -512,7 +561,7 @@ def shifting_lemma_forall(
         with _shared_classes():
             got = {
                 cls: _listed(a, None, cls, budget)
-                for cls in dict.fromkeys((class_s, class_r, class_t))
+                for cls in dict.fromkeys(map(_class, (class_s, class_r, class_t)))
             }
     except BudgetError:
         return _TupleSearch(a, None, budget).decide(_shifting_tuples, class_r, class_s, class_t)
@@ -533,64 +582,24 @@ def permutability(r: Relation, s: Relation) -> dict:
     (RSR = SRS) or neither, returning all four composites."""
     if not is_equivalence(r) or not is_equivalence(s):
         raise PreconditionError("R and S must be equivalence relations")
-    rs = compose(r, s)
-    sr = compose(s, r)
-    rsr = compose(r, sr)
-    srs = compose(s, rs)
-    if rs == sr:
-        level = "2-permute"
-    elif rsr == srs:
-        level = "3-permute"
-    else:
-        level = "neither"
+    rs, sr = compose(r, s), compose(s, r)
+    rsr, srs = compose(r, sr), compose(s, rs)
+    level = "2-permute" if rs == sr else "3-permute" if rsr == srs else "neither"
     return {"level": level, "RS": rs, "SR": sr, "RSR": rsr, "SRS": srs}
-
-
-def _sweep(
-    a: Algebra,
-    b: Algebra | None,
-    cls: RelationClass,
-    budget: int | None,
-    holds: Callable[[np.ndarray], np.ndarray],
-    tuples: Callable[[_Generated], Iterator[tuple[np.ndarray, np.ndarray]]],
-    reason: str,
-) -> SLResult:
-    """Whether the stacked predicate ``holds`` (see
-    ``relations._equivalence_stack``) is true of every compatible D: A -> B
-    (B = A when None) of ``cls``, read by ``_read`` in class order; the
-    first D that fails is reported as the triple (D, D, D) with ``reason``.
-    When the gate refuses the list, ``tuples`` decides the same predicate
-    on generated members (see _swept), and a search that exhausts the
-    budget is "inconclusive"."""
-    try:
-        rels = _listed(a, b, cls, budget)
-    except BudgetError:
-        return _TupleSearch(a, b, budget).decide(_swept, cls, tuples, reason)
-    for block, stack in _read(rels, rels[0].members.size):
-        ok = holds(stack)
-        if not ok.all():
-            d = block[int(ok.argmin())]
-            return SLResult("violated", triple=(d, d, d), reason=reason)
-    return SLResult("holds")
 
 
 def difunctional_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible relation D: A -> B satisfies D D-op D = D."""
-    return _sweep(
-        a, b, RelationClass.ARBITRARY, budget,
-        _difunctional_stack, _difunctional_tuples, "not difunctional",
-    )
+    return _sweep(a, b, _DIFUNCTIONAL, budget)
 
 
 def goursat_identity_all(
     a: Algebra, b: Algebra | None = None, budget: int | None = None
 ) -> SLResult:
     """Whether every compatible D: A -> B satisfies (D D-op)(D D-op) = D D-op."""
-    return _sweep(
-        a, b, RelationClass.ARBITRARY, budget, _goursat_stack, _goursat_tuples, "identity fails"
-    )
+    return _sweep(a, b, _GOURSAT, budget)
 
 
 def _fact(got: SLResult) -> bool | str:
@@ -602,20 +611,13 @@ def reflexive_positive_all_equivalence(a: Algebra, budget: int | None = None) ->
     """Whether every reflexive positive compatible relation on A is an
     equivalence, or "inconclusive: …" when the search of a list the budget
     refuses exhausts that budget in closures."""
-    return _fact(_sweep(
-        a, None, RelationClass.REFLEXIVE_POSITIVE, budget,
-        _equivalence_stack, _tolerance_tuples, "not an equivalence",
-    ))
+    return _fact(_sweep(a, None, _TOLERANCES, budget))
 
 
 def _ee_sweeps(a: Algebra, budget: int | None = None) -> dict[str, SLResult]:
     """The facts of ``ee_properties`` that depend on E, by _sweep for every
-    reflexive compatible E on A.  E E-op is reflexive and symmetric, so it
-    is an equivalence iff it is transitive: the Goursat identity of E."""
-    return {key: _sweep(a, None, RelationClass.REFLEXIVE, budget, *how) for key, *how in (
-        ("ee_op_is_equivalence", _goursat_stack, _goursat_tuples, "E E-op not transitive"),
-        ("ee_op_equals_op_ee", _commuting_stack, _commuting_tuples, "E E-op is not E-op E"),
-    )}
+    reflexive compatible E on A."""
+    return {key: _sweep(a, None, sweep, budget) for key, sweep in _EE_SWEEPS.items()}
 
 
 def ee_properties(a: Algebra, e: Relation) -> dict:

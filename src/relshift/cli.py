@@ -185,13 +185,7 @@ def check(algebra_path, prop, r_path, s_path, t_path, classes):
         return result.to_dict(), result.verdict
     if prop == "permutability":
         verdict = permutability(_compatible(a, r_path, "--R"), _compatible(a, s_path, "--S"))
-        doc = {
-            "level": verdict["level"],
-            "RS": verdict["RS"].pairs(),
-            "SR": verdict["SR"].pairs(),
-            "RSR": verdict["RSR"].pairs(),
-            "SRS": verdict["SRS"].pairs(),
-        }
+        doc = {k: v if k == "level" else v.pairs() for k, v in verdict.items()}
         return doc, verdict["level"] != "neither"
     if prop == "modular-lattice":
         ok = congruence_lattice_is_modular(a)
@@ -205,7 +199,7 @@ def check(algebra_path, prop, r_path, s_path, t_path, classes):
             doc["witness"] = {"dom": w.dom.size, "cod": w.cod.size, "pairs": w.pairs()}
         return doc, ok
     # ee: the sweep reads True, False or "inconclusive: …"
-    record = ee_properties(a, _relation(r_path, "--R"))
+    record = ee_properties(a, _compatible(a, r_path, "--R"))
     sweep = record["reflexive_positive_all_equivalence"]
     if not (record["ee_op_is_equivalence"] and record["ee_op_equals_op_ee"]):
         return record, False
@@ -219,7 +213,7 @@ def check(algebra_path, prop, r_path, s_path, t_path, classes):
 def witness(kind, algebra_path, relation_path):
     """Construct a Shifting-Lemma violation from a seed relation."""
     a = _read(algebra_path, algebra_from_json)
-    e = _read(relation_path, relation_from_json)
+    e = _compatible(a, relation_path, "--relation")
     builder = maltsev_sl_witness if kind == "maltsev" else goursat_sl_witness
     try:
         w = builder(a, e)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from relshift.checks import (
     BudgetError,
     PreconditionError,
     RelationClass,
+    _ee_sweeps,
     difunctional_all,
     ee_properties,
     enumerate_class_relations,
@@ -41,7 +43,7 @@ from relshift.terms import find_3perm_terms, find_maltsev_term
 
 from test_algebras import binary_algebra, cyclic_group, semilattice2
 from test_constructions import order2, reflexive_compatible_relations
-from test_reference import assert_searched_shifting_lemma, assert_searched_sweep
+from test_reference import assert_searched_shifting_lemma, assert_searched_sweep, searched
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled_seed7.json"
 
@@ -455,6 +457,23 @@ class TestExplicitBudget:
         )
 
 
+class TestClassArguments:
+    @pytest.mark.parametrize("cls", ["arbitrary", "eq", "bogus", None])
+    def test_a_value_that_is_no_relation_class_is_refused(self, cls):
+        # a string or None is not read as some class: "arbitrary" once gave
+        # z4's 3 reflexive relations, and "eq" under budget 1 a search
+        z4 = bundled_corpus()["z4"]
+        message = re.escape(f"not a RelationClass: {cls!r}")
+        with pytest.raises(ValueError, match=message):
+            enumerate_class_relations(z4, cls)
+        with pytest.raises(ValueError, match=message):
+            shifting_lemma_forall(z4, cls, cls, cls, budget=1)
+        # S's list is refused first, so T's class is checked before any search
+        refl = RelationClass.REFLEXIVE
+        with pytest.raises(ValueError, match=message):
+            shifting_lemma_forall(z4, refl, refl, cls, budget=1)
+
+
 def symmetric_group3():
     """S3 as (mul, inv, e): permutations of {0, 1, 2} in lexicographic
     order, (p q)(x) = p(q(x))."""
@@ -562,6 +581,16 @@ class TestSearch:
         assert [len(block) for block, _ in got] == [10, 10, 10, 6]
         assert all(stack.tolist() == [r.members.tolist() for r in block] for block, stack in got)
 
+    @pytest.mark.parametrize("sizes", [(2, 3, 4), (3, 2, 2, 3), (2, 3, 2, 2, 3)])
+    def test_tuple_blocks_cover_every_tuple_in_order(self, sizes):
+        # a block per value of all but the last three variables, at least one
+        got, lead = [], max(1, len(sizes) - 3)
+        for block in checks._tuple_blocks(sizes):
+            assert [isinstance(v, int) for v in block] == [k < lead for k in range(len(sizes))]
+            shape = np.broadcast_shapes(*(np.shape(v) for v in block))
+            got += zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in block))
+        assert got == list(itertools.product(*map(range, sizes)))
+
     def test_refl_eq_refl_on_n5_unary_decides_within_43_closures(self, monkeypatch):
         # the 16 principal closures of each class and the joins of the
         # first block of quadruples; the least violating quadruple is
@@ -614,6 +643,58 @@ class TestSearch:
         for budget in range(1, 81):
             got = reflexive_positive_all_equivalence(a, budget)
             assert got == want or got.startswith(f"inconclusive: search exhausted budget {budget}")
+
+    @pytest.mark.parametrize("name", sorted(bundled_corpus()))
+    def test_searched_budgets_are_pinned(self, name, monkeypatch):
+        # with every list but the congruences refused, each searched check
+        # of a suite record is decided first at its pinned budget, with the
+        # pinned result, and one closure below stops with the pinned reason
+        monkeypatch.delenv("RELSHIFT_BUDGET", raising=False)
+        want = json.loads(SEARCHED_BUDGETS.read_text())[name]
+        got = searched_checks(bundled_corpus()[name])
+        assert list(got) == list(want)
+        for label, run in got.items():
+            budget, result, below = (want[label][k] for k in ("budget", "result", "below"))
+            assert searched(run, budget) == result, label
+            if budget > 1:
+                assert searched(run, budget - 1) == {"verdict": "inconclusive", "reason": below}
+            else:
+                assert below is None
+
+
+# Recorded before the sweeps became declarations, by bisecting each
+# check's budget (a search decided at some budget is decided with the
+# same result at every larger one), and kept unchanged since.
+SEARCHED_BUDGETS = GOLDEN.with_name("searched_budgets.json")
+
+
+def as_json(res) -> dict:
+    return json.loads(json.dumps(res.to_dict()))
+
+
+def searched_checks(a: Algebra) -> dict:
+    """The searched checks of ``a``'s suite record, by name, each a function
+    of the budget giving its result as JSON; for
+    ``reflexive_positive_all_equivalence``, that of the sweep under it."""
+
+    def tolerances(budget):
+        seen = []
+        fact = checks._fact
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_fact", lambda res: seen.append(res) or fact(res))
+            reflexive_positive_all_equivalence(a, budget)
+        return as_json(seen[0])
+
+    runs = {
+        label: lambda budget, c=classes: as_json(shifting_lemma_forall(a, *c, budget))
+        for label, classes in LAYOUTS.items()
+    }
+    runs["difunctional_all"] = lambda budget: as_json(difunctional_all(a, budget=budget))
+    runs["goursat_identity_all"] = lambda budget: as_json(goursat_identity_all(a, budget=budget))
+    runs["reflexive_positive_all_equivalence"] = tolerances
+    for key in ("ee_op_is_equivalence", "ee_op_equals_op_ee"):
+        runs[key] = lambda budget, k=key: as_json(_ee_sweeps(a, budget)[k])
+    return runs
 
 
 class TestTermImplications:

@@ -59,7 +59,20 @@ def files(tmp_path):
     p = tmp_path / "fan.json"
     p.write_text(relation_to_json(fan))
     paths["fan"] = str(p)
+    # a relation from z2's carrier to a 3-element one
+    p = tmp_path / "wide.json"
+    p.write_text(relation_to_json(Relation.from_pairs(Carrier(2), Carrier(3), [(0, 0), (1, 2)])))
+    paths["wide"] = str(p)
     return paths
+
+
+# Relation files that are no compatible relation on z2, with the error
+# each gets under the flag that reads it.
+NOT_ON_Z2 = [
+    ("diag3", "{}: relation is not on the carrier of z2 (size 2)"),
+    ("wide", "{}: relation is not on the carrier of z2 (size 2)"),
+    ("z2_order", "{}: relation is not compatible with z2"),
+]
 
 
 CORPUS = pathlib.Path(relshift.__file__).parent / "corpus"
@@ -226,6 +239,11 @@ class TestCheck:
         assert code == 2
         assert message in doc["error"]
 
+    @pytest.mark.parametrize("bad, message", NOT_ON_Z2)
+    def test_ee_relation_errors_name_the_flag(self, runner, files, bad, message):
+        args = ["check", "--algebra", files["z2"], "--property", "ee", "--R", files[bad]]
+        assert run(runner, args) == (2, {"error": message.format("--R")})
+
     @pytest.mark.parametrize("algebra, relation, env, expected", [
         ("z2", "diag", None, 0),
         ("semilattice2", "order", None, 0),
@@ -313,6 +331,12 @@ class TestWitness:
         )
         assert code == 1
         assert doc["witness"] is None
+
+    @pytest.mark.parametrize("kind", ["maltsev", "goursat"])
+    @pytest.mark.parametrize("bad, message", NOT_ON_Z2)
+    def test_relation_errors_name_the_flag(self, runner, files, kind, bad, message):
+        args = ["witness", kind, "--algebra", files["z2"], "--relation", files[bad]]
+        assert run(runner, args) == (2, {"error": message.format("--relation")})
 
     def test_goursat_on_equivalence(self, runner, files):
         code, doc = run(
