@@ -19,7 +19,9 @@ from .relations import (
     Carrier,
     Relation,
     ShapeError,
+    _frozen,
     _is_int,
+    _known,
     _transitive_stack,
     is_reflexive,
     transitive_closure,
@@ -145,8 +147,7 @@ class Algebra:
                     f"operation {op!r}: table entry #{i} = {table[i]!r} out of range "
                     f"(not an integer in 0..{n - 1})"
                 )
-            arrays[op] = np.asarray(table, dtype=np.intp).reshape((n,) * arity)
-            arrays[op].setflags(write=False)
+            arrays[op] = _frozen(np.asarray(table, dtype=np.intp).reshape((n,) * arity))
         self.name = name
         self.carrier = carrier
         self.sig = sig
@@ -181,10 +182,12 @@ def is_compatible(a: Algebra, r: Relation) -> bool:
     An operation of arity k is applied to the |R|^k tuples of members
     only, as in _close_between, not to all (n^2)^k tuples of cells as in
     _stack_closer: the checks call it on carriers of up to 16 elements.
+    Decided once per relation and algebra: the answer is stored on R, keyed
+    by A, whose tables are read-only.
     """
     if r.members.shape != (a.size, a.size):  # carriers are equal iff their sizes are
         raise ShapeError("relation carrier does not match algebra carrier")
-    return bool(_is_compatible_between(a, a, r.members[None])[0])
+    return _known(r, a, lambda: _is_compatible_between(a, a, r.members[None])[0])
 
 
 def _is_compatible_between(a: Algebra, b: Algebra, stack: np.ndarray) -> np.ndarray:
@@ -257,9 +260,13 @@ def _close_between(a: Algebra, b: Algebra, m: np.ndarray) -> np.ndarray:
 
 
 def compatible_close(a: Algebra, seed: set[tuple[int, int]] | list[tuple[int, int]]) -> Relation:
-    """Least compatible relation containing ``seed`` (subalgebra of A^2)."""
+    """Least compatible relation containing ``seed`` (subalgebra of A^2),
+    known to be compatible with A: the closure's last round applied every
+    operation and added nothing."""
     m = Relation.from_pairs(a.carrier, a.carrier, seed).members
-    return Relation(a.carrier, a.carrier, _least(a, a, RelationClass.ARBITRARY, m))
+    closed = Relation(a.carrier, a.carrier, _least(a, a, RelationClass.ARBITRARY, m))
+    closed._facts[a] = True
+    return closed
 
 
 def _least(a: Algebra, b: Algebra, cls: RelationClass, m: np.ndarray) -> np.ndarray:

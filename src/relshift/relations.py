@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,6 +52,12 @@ def _is_int(v: object) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``m``, over bytes, so that its writeable flag
+    cannot be set again and no fact stored about it goes stale."""
+    return np.ndarray(m.shape, m.dtype, m.tobytes())
+
+
 class ShapeError(ValueError):
     """Carriers of the operands do not line up."""
 
@@ -77,11 +84,15 @@ class Carrier:
 class Relation:
     """A binary relation from ``dom`` to ``cod`` as a dense boolean matrix.
 
-    Immutable after construction; the backing array is frozen so values can
-    be shared and hashed freely.
+    Immutable after construction; the backing array is frozen (see
+    ``_frozen``) so values can be shared and hashed freely, and a fact
+    checked about a relation stays true.  ``_facts`` stores the answers of
+    ``is_equivalence``, ``is_positive`` and ``algebras.is_compatible``
+    (keyed by the Algebra) once they are known; equality, hashing and repr
+    ignore it, and a copy starts without it.
     """
 
-    __slots__ = ("dom", "cod", "members")
+    __slots__ = ("dom", "cod", "members", "_facts")
 
     def __init__(self, dom: Carrier, cod: Carrier, members: np.ndarray):
         members = np.asarray(members, dtype=bool)
@@ -90,14 +101,18 @@ class Relation:
                 f"matrix shape {members.shape} does not match carriers "
                 f"({dom.size}, {cod.size})"
             )
-        members = members.copy()
-        members.setflags(write=False)
+        members = _frozen(members)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Relation is immutable")
+
+    def __reduce__(self) -> tuple:
+        """Copies and pickles go through the constructor, without stored facts."""
+        return type(self), (self.dom, self.cod, self.members)
 
     @classmethod
     def from_pairs(
@@ -219,11 +234,20 @@ def is_transitive(r: Relation) -> bool:
     return leq(compose(r, r), r)
 
 
+def _known(r: Relation, key: Hashable, decide: Callable[[], bool]) -> bool:
+    """The fact ``key`` about R: ``decide()`` on the first call, stored in
+    ``R._facts`` and read from there afterwards."""
+    facts = r._facts
+    if key not in facts:
+        facts[key] = bool(decide())
+    return facts[key]
+
+
 def is_equivalence(r: Relation) -> bool:
     """Reflexive, symmetric and transitive: ``_equivalence_stack`` on a
-    stack of one."""
+    stack of one, decided once per relation."""
     r._require_endo()
-    return bool(_equivalence_stack(r.members[None])[0])
+    return _known(r, "equivalence", lambda: _equivalence_stack(r.members[None])[0])
 
 
 def is_difunctional(d: Relation) -> bool:
@@ -278,11 +302,9 @@ def is_positive(p: Relation) -> bool:
     member pairs.
     """
     p._require_endo()
-    if not is_symmetric(p):
-        return False
-    # (x, x') in P  must imply  (x, x) in P
-    some = p.members.any(axis=1)
-    return bool((~some | p.members.diagonal()).all())
+    m = p.members
+    # symmetric, and (x, x') in P must imply (x, x) in P; decided once per relation
+    return _known(p, "positive", lambda: is_symmetric(p) and (~m.any(1) | m.diagonal()).all())
 
 
 def positive_witness(p: Relation) -> Relation | None:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import relshift
-from relshift import cli, harness
+from relshift import algebras, cli, harness
 from relshift.algebras import Algebra, Signature, algebra_to_json
 from relshift.cli import main
 from relshift.harness import bundled_corpus
@@ -301,6 +301,25 @@ class TestBudgetInput:
 
 
 class TestWitness:
+    @pytest.mark.parametrize("args", [
+        ["witness", "maltsev", "--algebra", "semilattice2", "--relation", "order"],
+        ["witness", "goursat", "--algebra", "semilattice2", "--relation", "order"],
+        ["check", "--algebra", "semilattice2", "--property", "ee", "--R", "order"],
+    ])
+    def test_the_relation_is_checked_for_compatibility_once(self, runner, files, monkeypatch, args):
+        # the flag's check is stored on the relation, and the precondition
+        # of the construction or of ee_properties reads it
+        calls = []
+        real = algebras._is_compatible_between
+
+        def counted(a, b, stack):
+            calls.append(len(stack))
+            return real(a, b, stack)
+
+        monkeypatch.setattr(algebras, "_is_compatible_between", counted)
+        code, _ = run(runner, [files.get(x, x) for x in args])
+        assert code in (0, 1) and calls == [1]
+
     def test_maltsev_on_semilattice_order(self, runner, files):
         code, doc = run(
             runner,
